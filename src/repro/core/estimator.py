@@ -247,8 +247,11 @@ class WireTimingEstimator:
         """
         self._require_fitted()
         _PREDICTIONS.inc()
+        # Toggling the mode walks every submodule; skip it when the model
+        # is already in eval mode, as it is after fit() and load().
         was_training = self.model.training
-        self.model.eval()
+        if was_training:
+            self.model.eval()
         try:
             slew, delay = self.model(sample)
             slew_ps, delay_ps = self.label_scaler.denormalize(slew.data,

@@ -9,10 +9,10 @@ This module is that loop, built on three pieces:
   sink-pin reconnect, R/C scaling, buffer insertion), each mutation
   returning a typed :class:`~repro.design.netlist.NetEdit` record of what
   went stale;
-* the exact-key mode of :class:`IncrementalSTAEngine`
-  (``slew_quantum=None``), whose stage memo replays the very floats a
-  cold pass would recompute — a hit is bitwise identical, never merely
-  close;
+* :class:`IncrementalSTAEngine`, the STA stage kernel with its memo kept
+  across calls; the memo is keyed on the exact input slew, so a hit
+  replays the very floats a cold pass would recompute — bitwise
+  identical, never merely close;
 * a fanout-cone index from net name to the timing paths crossing it, so
   an edit maps to precisely the paths that must be re-timed.
 
@@ -200,20 +200,17 @@ class ECOTimingEngine:
     always reflects the current netlist, bitwise equal to what a cold
     full pass would produce.
 
-    Parameters mirror :class:`IncrementalSTAEngine`; the slew key is
-    pinned to exact mode because quantized reuse would break the parity
-    contract.  ``solve_cache`` overrides the process-wide
-    :class:`~repro.analysis.cache.SolveCache` for eigensolve hygiene
-    (tests inject their own).
+    Parameters mirror :class:`IncrementalSTAEngine`.  ``solve_cache``
+    overrides the process-wide :class:`~repro.analysis.cache.SolveCache`
+    for eigensolve hygiene (tests inject their own).
     """
 
     def __init__(self, netlist: Netlist, wire_model: WireTimingModel,
                  launch_slew: float = 20e-12, lenient_pins: bool = False,
                  solve_cache: Optional[SolveCache] = None) -> None:
         self.netlist = netlist
-        self.engine = IncrementalSTAEngine(
-            netlist, wire_model, launch_slew, slew_quantum=None,
-            lenient_pins=lenient_pins)
+        self.engine = IncrementalSTAEngine(netlist, wire_model, launch_slew,
+                                           lenient_pins=lenient_pins)
         self._solve_cache = solve_cache
         self._results: Optional[List[PathTiming]] = None
         # fanout-cone index: net name -> indices of paths crossing it.
@@ -336,9 +333,10 @@ def compare_timing(incremental: Sequence[PathTiming],
                    cold: Sequence[PathTiming]) -> List[str]:
     """Bitwise comparison of two per-path timing lists.
 
-    Every float is compared with ``==`` (no tolerance): the ECO parity
-    contract demands the incremental replay reproduce a cold pass
-    exactly, which the exact-slew stage memo makes possible.
+    Every float is compared with ``==`` (no tolerance), and each stage's
+    wire-model tier must match too: the ECO parity contract demands the
+    incremental replay reproduce a cold pass exactly, which the shared
+    exact-slew stage kernel makes possible.
     """
     problems: List[str] = []
     if len(incremental) != len(cold):
@@ -358,7 +356,7 @@ def compare_timing(incremental: Sequence[PathTiming],
             continue
         for position, (sa, sb) in enumerate(zip(a.stages, b.stages)):
             for attr in ("gate", "net", "gate_delay", "wire_delay",
-                         "slew_out"):
+                         "slew_out", "tier"):
                 left, right = getattr(sa, attr), getattr(sb, attr)
                 if left != right:
                     problems.append(f"{prefix} stage {position}: {attr} "

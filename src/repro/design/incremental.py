@@ -4,93 +4,45 @@ The paper's closing claim is that a fast wire estimator "can be integrated
 into incremental timing optimization for routed designs".  Optimization
 loops re-time the same design after small edits (cell up-sizing, buffer
 insertion); almost all stage timings are unchanged between iterations.
-:class:`IncrementalSTAEngine` memoizes per-stage results keyed by the
-stage's electrical inputs and invalidates only the nets whose driver or
-receivers changed, so the second and later STA passes cost a fraction of
-the first.
+:class:`IncrementalSTAEngine` is the STA stage kernel
+(:class:`~repro.design.sta.StageTimer`) with its memo kept across calls:
+it invalidates only the nets whose driver or receivers changed, so the
+second and later STA passes cost a fraction of the first.
 
 Correctness note: a stage's timing depends on its input slew, which
 changes when anything *upstream* changes — that dependence is captured by
-keying the cache on the input slew (quantized or exact) rather than by
-tracing fanin cones, so a stale entry can never be returned, only missed.
+keying the memo on the exact input slew rather than by tracing fanin
+cones, so a stale entry can never be returned, only missed, and every hit
+is bitwise identical to a cold :class:`~repro.design.sta.STAEngine` pass.
 The key also carries the resolved timing-arc pin: two paths entering the
 same gate through different arcs at the same slew are distinct stages and
 must never share an entry.
-
-For the ECO parity contract (results bitwise identical to a cold
-:class:`~repro.design.sta.STAEngine` pass) construct the engine with
-``slew_quantum=None``: cache keys then use the exact input slew, so a hit
-replays the very floats a cold pass would recompute.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
-import numpy as np
-
-from ..liberty.ceff import effective_capacitance
-from ..features.path_features import NetContext
-from ..obs import named_lock
-from .netlist import Netlist, TimingPath
-from .sta import PathTiming, StageTiming, WireTimingModel, resolve_arc_pin
-
-#: Cache key: (net, cell name, resolved arc pin, slew key).  The slew key
-#: is a grid index when quantizing, or the exact float in exact mode.
-StageKey = Tuple[str, str, str, Hashable]
+# Benchmark instrumentation wraps this module-level binding.
+from ..liberty.ceff import effective_capacitance  # noqa: F401
+from .netlist import TimingPath
+from .sta import PathTiming, StageTimer
 
 
-class IncrementalSTAEngine:
+class IncrementalSTAEngine(StageTimer):
     """STA engine with per-stage memoization for optimization loops.
 
-    Parameters
-    ----------
-    netlist:
-        The design being optimized (gate swaps are visible because gates
-        are looked up by name on every evaluation).
-    wire_model:
-        Wire timing engine (learned or analytic).
-    launch_slew:
-        Launch transition time, seconds.
-    slew_quantum:
-        Input slews are quantized to this grid (seconds) for cache keys;
-        finer = more precise reuse decisions, coarser = more hits.  The
-        *timing* itself always uses the exact slew — only reuse is
-        quantized, so results differ from a cold pass by at most the
-        model's sensitivity over one quantum.  ``None`` keys on the exact
-        slew instead: fewer hits, but every hit is bitwise identical to a
-        cold pass (the ECO parity mode).
-    lenient_pins:
-        When True, a stage whose ``input_pin`` has no timing arc is timed
-        through the cell's first arc (legacy netlists); when False (the
-        default) such a stage raises a typed
-        :class:`~repro.robustness.errors.InputError` with net/design
-        provenance.
+    Takes the :class:`~repro.design.sta.StageTimer` parameters: the
+    netlist being optimized (gate swaps are visible because gates are
+    looked up by name on every evaluation), the wire timing engine
+    (learned or analytic), the launch slew, an optional ``slew_model``
+    and ``lenient_pins``.  With ``lenient_pins=False`` (the default) a
+    stage whose ``input_pin`` has no timing arc raises a typed
+    :class:`~repro.robustness.errors.InputError` with net/design
+    provenance; True times it through the cell's first arc (legacy
+    netlists).
     """
 
-    def __init__(self, netlist: Netlist, wire_model: WireTimingModel,
-                 launch_slew: float = 20e-12,
-                 slew_quantum: Optional[float] = 0.25e-12,
-                 lenient_pins: bool = False) -> None:
-        if slew_quantum is not None and slew_quantum <= 0.0:
-            raise ValueError(
-                "slew_quantum must be positive (or None for exact keys)")
-        self.netlist = netlist
-        self.wire_model = wire_model
-        self.launch_slew = launch_slew
-        self.slew_quantum = slew_quantum
-        self.lenient_pins = lenient_pins
-        # The ECO stage memo is shared between a serve batch window and
-        # concurrent edit threads; only the dict/counter operations run
-        # under the lock — wire-timing computation happens outside it.
-        self._lock = named_lock("IncrementalSTAEngine._lock")
-        # (net, cell name, arc pin, slew key) -> (gate_delay, delays, slews)
-        self._cache: Dict[StageKey, Tuple[float, np.ndarray,
-                                          np.ndarray]] = {}  # repro-guarded-by: _lock
-        self.hits = 0    # repro-guarded-by: _lock
-        self.misses = 0  # repro-guarded-by: _lock
-
-    # ------------------------------------------------------------------
     def invalidate_gate(self, gate_name: str) -> int:
         """Drop cache entries affected by a change to ``gate_name``.
 
@@ -121,64 +73,6 @@ class IncrementalSTAEngine:
         """Drop the whole cache (e.g. after wholesale edits)."""
         with self._lock:
             self._cache.clear()
-
-    # ------------------------------------------------------------------
-    def _slew_key(self, slew: float) -> Hashable:
-        if self.slew_quantum is None:
-            return slew
-        return int(round(slew / self.slew_quantum))
-
-    def _stage_timing(self, gate_name: str, input_pin: str, net_name: str,
-                      slew: float) -> Tuple[float, np.ndarray, np.ndarray]:
-        gate = self.netlist.gates[gate_name]
-        net = self.netlist.nets[net_name]
-        pin = resolve_arc_pin(gate.cell, input_pin, net=net_name,
-                              design=self.netlist.name,
-                              lenient=self.lenient_pins)
-        key = (net_name, gate.cell.name, pin, self._slew_key(slew))
-        with self._lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self.hits += 1
-                return cached
-            self.misses += 1
-
-        # Computed outside the lock: two threads missing on the same key
-        # may both solve it (identical results; last store wins), which
-        # beats serializing every wire-timing evaluation.
-        sink_loads = self.netlist.sink_loads(net)
-        load = effective_capacitance(net.rcnet, gate.cell.drive_resistance,
-                                     sink_loads)
-        gate_delay, drive_slew = gate.cell.delay_and_slew(slew, load, pin)
-        context = NetContext(
-            input_slew=drive_slew, drive_cell=gate.cell,
-            load_cells=[self.netlist.gates[l.gate].cell for l in net.loads])
-        delays, slews = self.wire_model.wire_timing(
-            net.rcnet, drive_slew, sink_loads, gate.cell.drive_resistance,
-            context=context)
-        result = (gate_delay, np.asarray(delays), np.asarray(slews))
-        with self._lock:
-            self._cache[key] = result
-        return result
-
-    def path_arrival(self, path: TimingPath) -> PathTiming:
-        """Arrival time of one path, reusing cached stage timings."""
-        arrival = 0.0
-        gate_total = 0.0
-        wire_total = 0.0
-        slew = self.launch_slew
-        stages: List[StageTiming] = []
-        for stage in path.stages:
-            gate_delay, delays, slews = self._stage_timing(
-                stage.gate, stage.input_pin, stage.net, slew)
-            wire_delay = float(delays[stage.sink_index])
-            slew = float(slews[stage.sink_index])
-            arrival += gate_delay + wire_delay
-            gate_total += gate_delay
-            wire_total += wire_delay
-            stages.append(StageTiming(stage.gate, stage.net, gate_delay,
-                                      wire_delay, slew))
-        return PathTiming(path.name, arrival, gate_total, wire_total, stages)
 
     def analyze_paths(self, paths: Optional[List[TimingPath]] = None
                       ) -> List[PathTiming]:

@@ -4,11 +4,13 @@ Path arrival time is the sum of gate delays (NLDM table interpolation, as in
 the paper) and wire delays (pluggable: golden simulator, Elmore, D2M, or a
 learned estimator).  This is the machinery behind Table V: swapping the wire
 model changes arrival-time accuracy and runtime while the gate side stays
-fixed.
+fixed.  One stage kernel, :class:`StageTimer`, times every stage for every
+engine and computes each distinct stage once per memo.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -22,13 +24,13 @@ from ..analysis.elmore import elmore_delays
 from ..analysis.simulator import GoldenTimer
 from ..features.path_features import NetContext
 from ..liberty.ceff import effective_capacitance
-from ..obs import get_metrics, get_tracer
+from ..obs import get_metrics, get_tracer, named_lock
 from ..parallel import parallel_map
 from ..liberty.cell import Cell
 from ..rcnet.graph import RCNet
 from ..robustness.errors import (EstimationError, InputError, ModelError,
                                  NumericalError)
-from .netlist import Netlist, TimingPath
+from .netlist import Netlist, PathStage, TimingPath
 
 _LN9 = float(np.log(9.0))  # 10%-90% swing of a single-pole response.
 
@@ -225,8 +227,131 @@ class STAReport:
         return np.array([p.arrival for p in self.paths])
 
 
+#: Stage memo key: (net, driver cell name, resolved arc pin, exact input
+#: slew).  While the netlist is unchanged these fix every input of a
+#: stage's timing, so a hit replays the very floats a recomputation gives.
+StageKey = Tuple[str, str, str, float]
+#: Stage memo entry: (gate delay, per-sink wire delays, per-sink slews,
+#: wire-model tier that served the stage).
+StageEntry = Tuple[float, np.ndarray, np.ndarray, Optional[str]]
+
+
+class StageTimer:
+    """The stage-timing kernel behind every STA engine, with a stage memo.
+
+    A stage is timed as effective capacitance -> NLDM gate lookup ->
+    :class:`NetContext` -> ``wire_model.wire_timing`` (plus the optional
+    ``slew_model``), and the result is memoized under :data:`StageKey`.
+    Timing paths share prefixes, so a stage reached by many paths is
+    computed once and replayed on every later visit.  A cold
+    :class:`STAEngine` pass is this kernel run from an empty memo;
+    :class:`~repro.design.incremental.IncrementalSTAEngine` is this kernel
+    with its memo kept across calls.
+
+    Parameters are those of :class:`STAEngine`, except that pins default
+    to strict.  ``hits`` and ``misses`` count memo lookups, and
+    ``wire_seconds`` is the time spent inside ``wire_model`` computing
+    the missed stages: the wire column of Table V.
+    """
+
+    def __init__(self, netlist: Netlist, wire_model: WireTimingModel,
+                 launch_slew: float = 20e-12,
+                 slew_model: Optional[WireTimingModel] = None,
+                 lenient_pins: bool = False) -> None:
+        self.netlist = netlist
+        self.wire_model = wire_model
+        self.launch_slew = launch_slew
+        self.slew_model = slew_model
+        self.lenient_pins = lenient_pins
+        # An incremental memo is shared between a serve batch window and
+        # concurrent edit threads; only the dict/counter operations run
+        # under the lock — stage computation happens outside it.
+        self._lock = named_lock("StageTimer._lock")
+        self._cache: Dict[StageKey, StageEntry] = {}  # repro-guarded-by: _lock
+        self.hits = 0  # repro-guarded-by: _lock
+        self.misses = 0  # repro-guarded-by: _lock
+        self.wire_seconds = 0.0  # repro-guarded-by: _lock
+
+    def stage_timing(self, stage: PathStage, slew: float) -> StageEntry:
+        """Timing of ``stage`` entered at input slew ``slew``, memoized."""
+        gate = self.netlist.gates[stage.gate]
+        design = self.netlist.name
+        pin = resolve_arc_pin(gate.cell, stage.input_pin, net=stage.net,
+                              design=design, lenient=self.lenient_pins)
+        key = (stage.net, gate.cell.name, pin, slew)
+        with self._lock:
+            entry = self._cache.get(key)
+            if entry is not None:
+                self.hits += 1
+                return entry
+            self.misses += 1
+
+        # Computed outside the lock: two threads missing on the same key
+        # may both compute it (identical results; last store wins), which
+        # beats serializing every wire-timing evaluation.
+        net = self.netlist.nets[stage.net]
+        sink_loads = self.netlist.sink_loads(net)
+        drive = gate.cell.drive_resistance
+        load = effective_capacitance(net.rcnet, drive, sink_loads)
+        gate_delay, drive_slew = gate.cell.delay_and_slew(slew, load, pin)
+        context = NetContext(
+            input_slew=drive_slew, drive_cell=gate.cell,
+            load_cells=[self.netlist.gates[l.gate].cell for l in net.loads])
+        start = time.perf_counter()
+        try:
+            delays, slews = self.wire_model.wire_timing(
+                net.rcnet, drive_slew, sink_loads, drive, context=context)
+        except EstimationError:
+            raise  # already typed with provenance
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except Exception as exc:
+            raise ModelError(
+                f"wire model {self.wire_model.name!r} failed: "
+                f"{type(exc).__name__}: {exc}", net=stage.net,
+                design=design, stage="sta", cause=exc) from exc
+        wire_seconds = time.perf_counter() - start
+        tier = getattr(self.wire_model, "last_tier", None)
+        if self.slew_model is not None:
+            _, slews = self.slew_model.wire_timing(
+                net.rcnet, drive_slew, sink_loads, drive, context=context)
+        entry = (gate_delay, delays, slews, tier)
+        with self._lock:
+            self._cache[key] = entry
+            self.wire_seconds += wire_seconds
+        return entry
+
+    def path_arrival(self, path: TimingPath) -> PathTiming:
+        """Arrival time at the path endpoint, with per-stage breakdown."""
+        arrival = 0.0
+        gate_total = 0.0
+        wire_total = 0.0
+        slew = self.launch_slew
+        stages: List[StageTiming] = []
+        for stage in path.stages:
+            gate_delay, delays, slews, tier = self.stage_timing(stage, slew)
+            wire_delay = float(delays[stage.sink_index])
+            slew = float(slews[stage.sink_index])
+            if not (math.isfinite(gate_delay) and math.isfinite(wire_delay)
+                    and math.isfinite(slew)):
+                raise NumericalError(
+                    "non-finite stage timing", net=stage.net,
+                    design=self.netlist.name, sink=stage.sink_index,
+                    stage="sta", tier=tier)
+            arrival += gate_delay + wire_delay
+            gate_total += gate_delay
+            wire_total += wire_delay
+            stages.append(StageTiming(stage.gate, stage.net, gate_delay,
+                                      wire_delay, slew, tier=tier))
+        return PathTiming(path.name, arrival, gate_total, wire_total, stages)
+
+
 class STAEngine:
     """Propagates arrival times along recorded timing paths.
+
+    Every call runs the :class:`StageTimer` kernel from an empty memo, so
+    a stage shared by several paths is computed once per call and the
+    engine keeps no state between calls.
 
     Parameters
     ----------
@@ -264,117 +389,39 @@ class STAEngine:
         self.slew_model = slew_model
         self.lenient_pins = lenient_pins
 
+    def _timer(self) -> StageTimer:
+        return StageTimer(self.netlist, self.wire_model, self.launch_slew,
+                          slew_model=self.slew_model,
+                          lenient_pins=self.lenient_pins)
+
     def path_arrival(self, path: TimingPath) -> PathTiming:
         """Arrival time at the path endpoint, with per-stage breakdown."""
-        arrival = 0.0
-        gate_total = 0.0
-        wire_total = 0.0
-        slew = self.launch_slew
-        stages: List[StageTiming] = []
-        for stage in path.stages:
-            gate = self.netlist.gates[stage.gate]
-            net = self.netlist.nets[stage.net]
-            sink_loads = self.netlist.sink_loads(net)
-            load = effective_capacitance(net.rcnet, gate.cell.drive_resistance,
-                                         sink_loads)
-            input_pin = resolve_arc_pin(
-                gate.cell, stage.input_pin, net=stage.net,
-                design=self.netlist.name, lenient=self.lenient_pins)
-            gate_delay, drive_slew = gate.cell.delay_and_slew(slew, load, input_pin)
-            context = NetContext(
-                input_slew=drive_slew, drive_cell=gate.cell,
-                load_cells=[self.netlist.gates[l.gate].cell for l in net.loads])
-            try:
-                delays, slews = self.wire_model.wire_timing(
-                    net.rcnet, drive_slew, sink_loads,
-                    gate.cell.drive_resistance, context=context)
-            except EstimationError:
-                raise  # already typed with provenance
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:
-                raise ModelError(
-                    f"wire model {self.wire_model.name!r} failed: "
-                    f"{type(exc).__name__}: {exc}", net=stage.net,
-                    design=self.netlist.name, stage="sta",
-                    cause=exc) from exc
-            tier = getattr(self.wire_model, "last_tier", None)
-            if self.slew_model is not None:
-                _, slews = self.slew_model.wire_timing(
-                    net.rcnet, drive_slew, sink_loads,
-                    gate.cell.drive_resistance, context=context)
-            wire_delay = float(delays[stage.sink_index])
-            slew = float(slews[stage.sink_index])
-            if not (np.isfinite(gate_delay) and np.isfinite(wire_delay)
-                    and np.isfinite(slew)):
-                raise NumericalError(
-                    "non-finite stage timing", net=stage.net,
-                    design=self.netlist.name, sink=stage.sink_index,
-                    stage="sta", tier=tier)
-            arrival += gate_delay + wire_delay
-            gate_total += gate_delay
-            wire_total += wire_delay
-            _STAGES_TIMED.inc()
-            stages.append(StageTiming(stage.gate, stage.net, gate_delay,
-                                      wire_delay, slew, tier=tier))
+        timing = self._timer().path_arrival(path)
         _PATHS_TIMED.inc()
-        return PathTiming(path.name, arrival, gate_total, wire_total, stages)
-
-    def _timed_arrival(self, path: TimingPath
-                       ) -> Tuple[PathTiming, float, float]:
-        """One path through a wire-timing-instrumented engine.
-
-        Returns ``(timing, wire_seconds, total_seconds)`` so callers can
-        assemble the Table V gate/wire runtime split from per-path compute
-        time — a definition that survives parallel execution, where
-        wall-clock no longer equals work done.
-        """
-        wire_seconds = 0.0
-        model = self.wire_model
-
-        class _TimedModel(WireTimingModel):
-            def wire_timing(self, net, input_slew, sink_loads, drive_resistance,
-                            context=None):
-                nonlocal wire_seconds
-                start = time.perf_counter()
-                try:
-                    return model.wire_timing(net, input_slew, sink_loads,
-                                             drive_resistance, context=context)
-                finally:
-                    wire_seconds += time.perf_counter() - start
-
-            @property
-            def last_tier(self):
-                return getattr(model, "last_tier", None)
-
-        engine = STAEngine(self.netlist, _TimedModel(), self.launch_slew,
-                           slew_model=self.slew_model,
-                           lenient_pins=self.lenient_pins)
-        start = time.perf_counter()
-        timing = engine.path_arrival(path)
-        total = time.perf_counter() - start
-        return timing, wire_seconds, total
+        _STAGES_TIMED.inc(len(timing.stages))
+        return timing
 
     def analyze_design(self, jobs: int = 1) -> STAReport:
         """Arrival times of every recorded path, with a runtime split.
 
-        The gate/wire runtime split is measured by running the wire engine
-        inside a timed wrapper; totals are summed per-path compute seconds,
-        mirroring Table V's Gate/Wire columns.
+        The wire column is the time spent inside the wire model, timed
+        by the stage kernel around each computed stage; the gate column
+        is the rest of the per-path compute time, mirroring Table V's
+        Gate/Wire columns.
 
         ``jobs > 1`` analyzes paths across worker processes (the netlist
-        and wire model ship to each worker once).  Arrival times and the
-        per-stage tier provenance in the report are identical to the
-        serial path; in-model degradation counters (e.g. a FallbackChain's
-        ``stats``) accumulate inside the workers and are not merged back —
-        read provenance from the report's ``stages`` instead.
+        and wire model ship to each worker once, and each worker keeps
+        its own stage memo).  Arrival times and the per-stage tier
+        provenance in the report are identical to the serial path;
+        in-model degradation counters (e.g. a FallbackChain's ``stats``)
+        accumulate inside the workers and are not merged back — read
+        provenance from the report's ``stages`` instead.
         """
         model = self.wire_model
         paths = list(self.netlist.paths)
         with get_tracer().span("sta.analyze_design", design=self.netlist.name,
                                wire_model=model.name,
                                paths=len(paths), jobs=jobs) as span:
-            prime_seconds = 0.0
             if jobs == 1 or len(paths) < 2:
                 # Serial runs see every stage up front: collect the unique
                 # (net, driver) pairs across all paths and let batch-aware
@@ -382,7 +429,11 @@ class STAEngine:
                 # prime time is charged to the wire column below — it is
                 # wire work, just hoisted.
                 prime_seconds = self._prime_wire_models(paths)
-                results = [self._timed_arrival(p) for p in paths]
+                timer = self._timer()
+                start = time.perf_counter()
+                timings = [timer.path_arrival(p) for p in paths]
+                total = time.perf_counter() - start + prime_seconds
+                wire_seconds = timer.wire_seconds + prime_seconds
             else:
                 results = parallel_map(
                     _timed_path, list(range(len(paths))), jobs=jobs,
@@ -390,19 +441,19 @@ class STAEngine:
                     initargs=(self.netlist, model, self.launch_slew,
                               self.slew_model, self.lenient_pins),
                     label="sta_paths")
-                # Worker processes own separate metric registries; replay
-                # the per-path counters in the parent.
-                for timing, _, _ in results:
-                    _PATHS_TIMED.inc()
-                    _STAGES_TIMED.inc(len(timing.stages))
-            wire_seconds = sum(w for _, w, _ in results) + prime_seconds
-            total = sum(t for _, _, t in results) + prime_seconds
+                timings = [timing for timing, _, _ in results]
+                wire_seconds = sum(w for _, w, _ in results)
+                total = sum(t for _, _, t in results)
+            # Counted in the parent for both branches: worker processes
+            # own separate metric registries.
+            _PATHS_TIMED.inc(len(timings))
+            _STAGES_TIMED.inc(sum(len(timing.stages) for timing in timings))
             span.set(gate_seconds=total - wire_seconds,
                      wire_seconds=wire_seconds)
         return STAReport(
             design=self.netlist.name,
             wire_model=model.name,
-            paths=[timing for timing, _, _ in results],
+            paths=timings,
             gate_seconds=total - wire_seconds,
             wire_seconds=wire_seconds,
         )
@@ -441,21 +492,28 @@ class STAEngine:
         return time.perf_counter() - start
 
 
-# Per-worker STA engine installed once by the pool initializer, so the
-# netlist and wire model ship per worker instead of per path.
-_WORKER_ENGINE: Optional[STAEngine] = None
+# Per-worker stage kernel installed once by the pool initializer, so the
+# netlist and wire model ship per worker instead of per path, and the
+# worker's stage memo serves every path it times.
+_WORKER_TIMER: Optional[StageTimer] = None
 
 
 def _init_sta_worker(netlist: Netlist, wire_model: WireTimingModel,
                      launch_slew: float,
                      slew_model: Optional[WireTimingModel],
                      lenient_pins: bool = True) -> None:
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = STAEngine(netlist, wire_model, launch_slew,
+    global _WORKER_TIMER
+    _WORKER_TIMER = StageTimer(netlist, wire_model, launch_slew,
                                slew_model=slew_model,
                                lenient_pins=lenient_pins)
 
 
 def _timed_path(index: int) -> Tuple[PathTiming, float, float]:
-    """Worker entry point: time one path by index into the shipped netlist."""
-    return _WORKER_ENGINE._timed_arrival(_WORKER_ENGINE.netlist.paths[index])
+    """Worker entry point: ``(timing, wire_seconds, total_seconds)`` of one
+    path, by index into the shipped netlist."""
+    timer = _WORKER_TIMER
+    wire_before = timer.wire_seconds
+    start = time.perf_counter()
+    timing = timer.path_arrival(timer.netlist.paths[index])
+    return (timing, timer.wire_seconds - wire_before,
+            time.perf_counter() - start)

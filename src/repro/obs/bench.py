@@ -245,9 +245,11 @@ def run_bench(workload: BenchWorkload = DEFAULT_WORKLOAD,
         sta_report, chain = clock.run("sta", _sta)
         # Tier counts come from the report's per-stage provenance rather
         # than chain.stats: with jobs > 1 the chain instances that served
-        # nets live in worker processes, but every serve is recorded in
-        # its StageTiming.tier, so this matches chain.counters() exactly
-        # on a serial run and stays correct on a parallel one.
+        # nets live in worker processes, but every stage records its tier
+        # in StageTiming.tier.  These counts are stage visits, while
+        # chain.counters() counts only computed stages (the STA stage
+        # memo serves repeat visits without calling the chain), so the
+        # two differ whenever paths share stages.
         from collections import Counter as _Counter
 
         tier_counts = _Counter(stage.tier for path in sta_report.paths

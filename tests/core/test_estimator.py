@@ -83,6 +83,34 @@ class TestFitPredict:
         assert fitted.throughput(dataset.test[:5]) > 0.0
 
 
+class TestPredictModeToggle:
+    """predict_sample switches the module tree to eval mode only when it
+    is not there already, and hands a training model back in train mode."""
+
+    def test_eval_model_is_not_walked(self, fitted, dataset, monkeypatch):
+        from repro.nn.layers import Module
+
+        fitted.model.eval()
+        calls = []
+        original = Module._set_training
+
+        def counting(module, flag):
+            calls.append(flag)
+            original(module, flag)
+
+        monkeypatch.setattr(Module, "_set_training", counting)
+        fitted.predict_sample(dataset.test[0])
+        assert calls == []
+
+    def test_train_mode_restored(self, fitted, dataset):
+        fitted.model.train()
+        try:
+            fitted.predict_sample(dataset.test[0])
+            assert fitted.model.training
+        finally:
+            fitted.model.eval()
+
+
 class TestPersistence:
     def test_save_load_identical_predictions(self, fitted, dataset, tmp_path):
         path = str(tmp_path / "model.npz")

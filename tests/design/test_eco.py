@@ -13,11 +13,13 @@ from repro.design import (DesignSpec, ECOTimingEngine, EditCommand,
                           ElmoreWireModel, Gate, GoldenWireModel,
                           IncrementalSTAEngine, LoadPin, Netlist, PathStage,
                           STAEngine, TimingPath, apply_edit_command,
-                          generate_design, load_edit_script)
+                          compare_timing, generate_design, load_edit_script)
 from repro.design.netlist import DesignNet
 from repro.liberty import Cell, TimingArc, make_default_library
 from repro.rcnet import RCNetBuilder
-from repro.robustness.errors import InputError
+from repro.robustness import FallbackChain
+from repro.robustness.errors import (InputError, ModelError,
+                                     NumericalError)
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +94,7 @@ class TestStageKeyCarriesInputPin:
 
     def test_distinct_arcs_do_not_share_an_entry(self, library):
         netlist = _two_arc_netlist(library)
-        engine = IncrementalSTAEngine(netlist, ElmoreWireModel(),
-                                      slew_quantum=None)
+        engine = IncrementalSTAEngine(netlist, ElmoreWireModel())
         via_a, via_b = engine.analyze_paths()
         # The arcs have different tables, so sharing would be observable.
         assert via_a.arrival != via_b.arrival
@@ -104,16 +105,14 @@ class TestStageKeyCarriesInputPin:
 
     def test_cache_holds_one_entry_per_arc(self, library):
         netlist = _two_arc_netlist(library)
-        engine = IncrementalSTAEngine(netlist, ElmoreWireModel(),
-                                      slew_quantum=None)
+        engine = IncrementalSTAEngine(netlist, ElmoreWireModel())
         engine.analyze_paths()
         pins = {key[2] for key in engine._cache if key[0] == "n1"}
         assert pins == {"A", "B"}
 
     def test_second_pass_still_hits(self, library):
         netlist = _two_arc_netlist(library)
-        engine = IncrementalSTAEngine(netlist, ElmoreWireModel(),
-                                      slew_quantum=None)
+        engine = IncrementalSTAEngine(netlist, ElmoreWireModel())
         first = [p.arrival for p in engine.analyze_paths()]
         misses = engine.misses
         second = [p.arrival for p in engine.analyze_paths()]
@@ -151,7 +150,7 @@ class TestStrictPinResolution:
     def test_lenient_optin_times_through_first_arc(self, library):
         netlist = self._netlist_with_bad_pin(library)
         lenient = IncrementalSTAEngine(netlist, ElmoreWireModel(),
-                                       slew_quantum=None, lenient_pins=True)
+                                       lenient_pins=True)
         results = lenient.analyze_paths()
         # Legacy behavior: pin Z resolves to the first arc, which is A.
         assert results[1].arrival == results[0].arrival
@@ -161,6 +160,67 @@ class TestStrictPinResolution:
         strict = STAEngine(netlist, ElmoreWireModel(), lenient_pins=False)
         with pytest.raises(InputError, match="no timing arc"):
             strict.analyze_design()
+
+
+class _NaNWireModel(ElmoreWireModel):
+    """Elmore timing with every wire delay replaced by NaN."""
+
+    def wire_timing(self, net, input_slew, sink_loads, drive_resistance,
+                    context=None):
+        delays, slews = super().wire_timing(net, input_slew, sink_loads,
+                                            drive_resistance, context)
+        return np.full_like(delays, np.nan), slews
+
+
+class _BrokenWireModel(ElmoreWireModel):
+    def wire_timing(self, *args, **kwargs):
+        raise RuntimeError("solver exploded")
+
+
+class TestStageChecks:
+    """Regression: ECO stages skipped the cold pass's checks, so a NaN
+    reached ECO results silently, wire-model crashes surfaced untyped,
+    and every stage carried ``tier=None``."""
+
+    def test_nan_wire_timing_raises_numerical_error(self, library):
+        netlist = _two_arc_netlist(library)
+        with pytest.raises(NumericalError) as excinfo:
+            ECOTimingEngine(netlist, _NaNWireModel()).full_pass()
+        assert excinfo.value.net == "n0"
+        assert excinfo.value.design == netlist.name
+
+    def test_raising_wire_model_raises_model_error(self, library):
+        netlist = _two_arc_netlist(library)
+        with pytest.raises(ModelError, match="solver exploded") as excinfo:
+            ECOTimingEngine(netlist, _BrokenWireModel()).full_pass()
+        assert excinfo.value.net == "n0"
+        assert excinfo.value.design == netlist.name
+
+    def test_stages_carry_the_serving_tier(self, library):
+        netlist = _two_arc_netlist(library)
+        engine = ECOTimingEngine(netlist,
+                                 FallbackChain([ElmoreWireModel()]))
+        results = engine.full_pass()
+        assert {s.tier for p in results for s in p.stages} == \
+            {"ElmoreWireModel"}
+        assert engine.verify_parity() == []
+
+    def test_slew_model_matches_cold_pass(self, design):
+        golden = GoldenWireModel()
+        incremental = IncrementalSTAEngine(design, ElmoreWireModel(),
+                                           slew_model=golden)
+        cold = STAEngine(design, ElmoreWireModel(), slew_model=golden,
+                         lenient_pins=False).analyze_design()
+        assert compare_timing(incremental.analyze_paths(), cold.paths) == []
+
+    def test_parity_compares_tiers(self, library):
+        netlist = _two_arc_netlist(library)
+        engine = ECOTimingEngine(netlist, ElmoreWireModel())
+        results = engine.full_pass()
+        cold = STAEngine(netlist, ElmoreWireModel()).analyze_design().paths
+        cold[0].stages[1].tier = "label-prior"
+        assert compare_timing(results, cold) == [
+            "path 'via_a' stage 1: tier None != 'label-prior'"]
 
 
 class TestReverseLoadIndex:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.design import (D2MWireModel, DesignSpec, ElmoreWireModel,
-                          GoldenWireModel, STAEngine, generate_design)
+                          GoldenWireModel, STAEngine, compare_timing,
+                          generate_design)
+from repro.design.sta import resolve_arc_pin
 
 
 @pytest.fixture
@@ -111,3 +113,65 @@ class TestSlewModelProtocol:
         err_self = np.max(np.abs(self_consistent - reference))
         err_protocol = np.max(np.abs(protocol - reference))
         assert err_protocol <= err_self + 1e-15
+
+
+class _CountingElmore(ElmoreWireModel):
+    """Elmore wire model that counts its ``wire_timing`` calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def wire_timing(self, *args, **kwargs):
+        self.calls += 1
+        return super().wire_timing(*args, **kwargs)
+
+
+class TestStageMemo:
+    """One analysis times each distinct (net, cell, pin, input slew) stage
+    once, and replaying a memoized stage changes no result bit."""
+
+    def _distinct_stage_keys(self, design, report, launch_slew=20e-12):
+        keys = set()
+        for path, timing in zip(design.paths, report.paths):
+            slew = launch_slew
+            for stage, result in zip(path.stages, timing.stages):
+                cell = design.gates[stage.gate].cell
+                keys.add((stage.net, cell.name,
+                          resolve_arc_pin(cell, stage.input_pin), slew))
+                slew = result.slew_out
+        return keys
+
+    def test_wire_model_called_once_per_distinct_stage(self, design):
+        model = _CountingElmore()
+        report = STAEngine(design, model).analyze_design()
+        visits = sum(len(p.stages) for p in report.paths)
+        distinct = self._distinct_stage_keys(design, report)
+        assert len(distinct) < visits  # the paths share prefixes
+        assert model.calls == len(distinct)
+
+    @pytest.mark.parametrize("slew_model", [None, GoldenWireModel()],
+                             ids=["self-consistent", "golden-slews"])
+    def test_full_pass_bitwise_equals_paths_timed_alone(self, design,
+                                                        slew_model):
+        engine = STAEngine(design, ElmoreWireModel(), slew_model=slew_model)
+        report = engine.analyze_design()
+        alone = [engine.path_arrival(path) for path in design.paths]
+        assert compare_timing(report.paths, alone) == []
+        np.testing.assert_array_equal(report.arrivals(),
+                                      [p.arrival for p in alone])
+
+    def test_resize_between_calls_matches_fresh_engine(self, design,
+                                                       library):
+        engine = STAEngine(design, ElmoreWireModel())
+        before = engine.analyze_design()
+        victim = next(
+            design.gates[s.gate] for path in design.paths
+            for s in path.stages
+            if not design.gates[s.gate].is_sequential
+            and design.gates[s.gate].cell.drive_strength < 8)
+        design.resize_gate(victim.name, library.cell(
+            f"{victim.cell.function}_X{victim.cell.drive_strength * 2}"))
+        after = engine.analyze_design()
+        fresh = STAEngine(design, ElmoreWireModel()).analyze_design()
+        assert compare_timing(after.paths, fresh.paths) == []
+        assert not np.array_equal(after.arrivals(), before.arrivals())
