@@ -31,6 +31,8 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+import threading
+import zipfile
 from collections import OrderedDict
 from typing import Any, Dict, Optional
 
@@ -216,7 +218,8 @@ class SolveCache:
                     eigenvalues=np.asarray(data["eigenvalues"],
                                            dtype=np.float64),
                     q=np.asarray(data["q"], dtype=np.float64))
-        except (OSError, KeyError, ValueError, EOFError):
+        except (OSError, KeyError, ValueError, EOFError,
+                zipfile.BadZipFile):
             # Missing file is the common case; a corrupted or truncated
             # one (crash mid-write by an older numpy, disk fault) must
             # degrade to a recompute, never break the query.
@@ -231,7 +234,9 @@ class SolveCache:
         path = self._disk_path(key)
         if os.path.exists(path):
             return
-        tmp = path + f".tmp.{os.getpid()}"
+        # One temp file per writer: serve threads that miss on the same
+        # key would otherwise interleave their bytes in a shared one.
+        tmp = path + f".tmp.{os.getpid()}.{threading.get_ident()}"
         try:
             with open(tmp, "wb") as handle:
                 np.savez(handle, schema=np.str_(PERSIST_SCHEMA),

@@ -118,17 +118,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report",
                        help="STA timing report from Verilog + SPEF + Liberty")
-    p.add_argument("--verilog")
-    p.add_argument("--spef")
-    p.add_argument("--lib")
-    p.add_argument("--hot", metavar="PROFILE", action="append",
-                   default=None,
-                   help="instead of an STA report, print the hottest "
-                        "functions by exclusive seconds from a BENCH_*.json "
-                        "or REPRO_TRACE JSONL profile (repeatable; profiles "
-                        "are merged)")
-    p.add_argument("--top", type=int, default=10,
-                   help="with --hot: number of functions to show")
+    p.add_argument("--verilog", required=True)
+    p.add_argument("--spef", required=True)
+    p.add_argument("--lib", required=True)
     p.add_argument("--engine",
                    choices=["golden", "elmore", "d2m", "awe", "fallback"],
                    default="golden")
@@ -244,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ignore", default=None,
                    help="comma-separated rule names to skip")
     p.add_argument("--format", choices=["text", "json"], default="text",
-                   dest="fmt", help="report format (json is repro-lint/4)")
+                   dest="fmt", help="report format (json is repro-lint/5)")
     p.add_argument("--baseline", default=None,
                    help="baseline file of grandfathered findings (default: "
                         "lint-baseline.json when it exists)")
@@ -254,19 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--concurrency", action="store_true",
                    help="also run the CONC pack (lock-order, guarded-by, "
                         "thread-escape); implies --deep")
-    p.add_argument("--perf", action="store_true",
-                   help="also run the profile-guided PERF pack (scalar "
-                        "solves in net loops, per-iteration allocation, "
-                        "cache bypasses); implies --deep")
-    p.add_argument("--arch", action="store_true",
-                   help="also run the ARCH pack (layer contracts from "
-                        "[tool.repro-lint.layers]); implies --deep")
-    p.add_argument("--hot-profile", action="append", default=[],
-                   metavar="PATH",
-                   help="with --perf: BENCH_*.json or REPRO_TRACE JSONL "
-                        "profile ranking findings by measured cost "
-                        "(repeatable; default: newest BENCH_*.json in the "
-                        "working directory)")
     p.add_argument("--changed", action="store_true",
                    help="lint only files changed vs the git merge base "
                         "(fast path for PR builds)")
@@ -415,17 +394,6 @@ def _cmd_export_design(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    if args.hot:
-        return _report_hot(args.hot, args.top)
-    missing = [flag for flag, value in (("--verilog", args.verilog),
-                                        ("--spef", args.spef),
-                                        ("--lib", args.lib))
-               if value is None]
-    if missing:
-        print(f"error: {', '.join(missing)} required (or use --hot "
-              f"PROFILE for a hot-function report)", file=sys.stderr)
-        return 2
-
     import numpy as np
 
     from .design import (AWEWireModel, D2MWireModel, ElmoreWireModel,
@@ -513,35 +481,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(format_profile(aggregate_spans(tracer.spans),
                              title=f"per-stage profile ({report.design}, "
                                    f"{report.wire_model})"))
-    return 0
-
-
-def _report_hot(profiles: List[str], top: int) -> int:
-    """``repro report --hot``: top functions by exclusive seconds."""
-    from .lint.hotness import ProfileError, load_hotness
-
-    try:
-        hotness = load_hotness(profiles)
-    except ProfileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if not hotness:
-        print("no spans found in the given profile(s)", file=sys.stderr)
-        return 1
-    spots = hotness.top(max(top, 1))
-    print(f"hot functions ({', '.join(hotness.sources)}; "
-          f"threshold {hotness.threshold_s:.3f}s)")
-    header = (f"  {'exclusive_s':>11}  {'wall_s':>9}  {'calls':>7}  "
-              f"{'span':<24} function")
-    print(header)
-    for spot in spots:
-        where = (f"{spot.module}.{spot.qualname}" if spot.module
-                 else "(harness)")
-        marker = "*" if spot.exclusive_s >= hotness.threshold_s else " "
-        print(f"{marker} {spot.exclusive_s:>11.4f}  {spot.wall_s:>9.4f}  "
-              f"{spot.calls:>7d}  {spot.span:<24} {where}")
-    print(f"  (* = hot: above threshold; {len(hotness.spots)} span(s) "
-          f"total)")
     return 0
 
 
@@ -787,16 +726,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                        write_baseline)
     from .lint.concurrency import CONC_RULE_CATALOGUE, CONC_RULE_NAMES
     from .lint.deep import DEEP_RULE_CATALOGUE, DEEP_RULE_NAMES
-    from .lint.hotness import ProfileError, discover_default_profile
-    from .lint.layers import ARCH_RULE_CATALOGUE, ARCH_RULE_NAMES
-    from .lint.perf import PERF_RULE_CATALOGUE, PERF_RULE_NAMES
 
     rules = default_rules()
     if args.list_rules:
         print(rule_catalogue(list(rules) + list(DEEP_RULE_CATALOGUE)
-                             + list(CONC_RULE_CATALOGUE)
-                             + list(PERF_RULE_CATALOGUE)
-                             + list(ARCH_RULE_CATALOGUE)))
+                             + list(CONC_RULE_CATALOGUE)))
         return 0
 
     def _names(raw: Optional[str]) -> Optional[List[str]]:
@@ -815,33 +749,23 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                             exclude=tuple(config.exclude)
                             + tuple(args.exclude),
                             extra_rule_names=DEEP_RULE_NAMES
-                            + CONC_RULE_NAMES + PERF_RULE_NAMES
-                            + ARCH_RULE_NAMES)
+                            + CONC_RULE_NAMES)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     deep = None
-    if args.deep or args.concurrency or args.perf or args.arch:
+    if args.deep or args.concurrency:
         conc = bool(args.concurrency)
-        profiles = list(args.hot_profile)
-        if args.perf and not profiles:
-            discovered = discover_default_profile()
-            if discovered is not None:
-                profiles = [discovered]
-                print(f"note: --perf ranking findings against {discovered} "
-                      f"(pass --hot-profile to override)", file=sys.stderr)
-        extras = dict(concurrency=conc, perf=bool(args.perf),
-                      arch=bool(args.arch), hot_profiles=profiles)
         try:
             if args.cache == "off":
                 deep = DeepAnalyzer(config=config, cache_path=None,
-                                    **extras)
+                                    concurrency=conc)
             elif args.cache:
                 deep = DeepAnalyzer(config=config, cache_path=args.cache,
-                                    **extras)
+                                    concurrency=conc)
             else:
-                deep = DeepAnalyzer(config=config, **extras)
-        except (DeclarationError, ProfileError) as exc:
+                deep = DeepAnalyzer(config=config, concurrency=conc)
+        except DeclarationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     paths = list(args.paths)

@@ -15,21 +15,17 @@ and a forward dataflow engine (:mod:`.dataflow`), then runs the FLOW
 (:mod:`.flowrules`), SHAPE (:mod:`.shapes`) and UNIT (:mod:`.units`) rule
 packs over them.  Summaries and findings are cached per content hash
 (:mod:`.deep`), so a warm run re-analyzes only edited modules and their
-transitive importers.  Three opt-in whole-program packs ride the same
-machinery: CONC (:mod:`.concurrency`, lock discipline), PERF
-(:mod:`.perf`, profile-guided performance rules ranked by measured
-exclusive seconds from :mod:`.hotness`), and ARCH (:mod:`.layers`,
-layer contracts from ``[tool.repro-lint.layers]``).
+transitive importers.  The opt-in CONC pack (:mod:`.concurrency`, lock
+discipline) rides the same machinery.
 
 Typical use is through the CLI::
 
     repro lint src tools                       # text report, exit 1 on findings
     repro lint src tools --deep                # + FLOW/SHAPE/UNIT packs
     repro lint src tools --concurrency         # + CONC pack (implies --deep)
-    repro lint src tools --perf --arch         # + PERF/ARCH packs
     repro lint src tools --deep --changed      # PR fast path (git diff gate)
     repro lint src --select ERR001,ERR002      # only the error-contract rules
-    repro lint src tools --format json         # machine-readable repro-lint/4
+    repro lint src tools --format json         # machine-readable repro-lint/5
     repro lint src tools --write-baseline      # grandfather current findings
 
 and programmatically::
@@ -54,11 +50,6 @@ from .deep import (ANALYSIS_VERSION, DEEP_RULE_NAMES, DeepAnalyzer,
 from .engine import (PARSE_RULE, Finding, LintResult, LintRunner,
                      ModuleContext, ProjectRule, Rule, module_name,
                      python_files, suppressed_lines)
-from .hotness import (HotnessProfile, HotSpot, ProfileError,
-                      discover_default_profile, load_hotness)
-from .layers import (ARCH_RULE_NAMES, LayerGraph, build_layer_graph,
-                     dump_layer_graph, module_layer)
-from .perf import PERF_RULE_NAMES, ModulePerf, extract_module_perf
 from .report import (REPORT_SCHEMA, render_json, render_text,
                      report_document, rule_catalogue)
 from .rules import TAXONOMY_ERRORS, default_rules
@@ -67,20 +58,16 @@ from .symbols import ModuleSummary, SymbolTable, summarize_module
 from .units import DeclarationError, UnitDeclarations, load_declarations
 
 __all__ = [
-    "ANALYSIS_VERSION", "ARCH_RULE_NAMES", "BASELINE_SCHEMA", "CFG",
-    "CONC_RULE_NAMES", "CallGraph", "ConfigError", "DEEP_RULE_NAMES",
-    "DEFAULT_BASELINE", "BaselineEntry", "BaselineError",
-    "DeclarationError", "DeepAnalyzer", "DeepStats", "Finding",
-    "HotSpot", "HotnessProfile", "LayerGraph", "LintConfig", "LintResult",
-    "LintRunner", "LockGraph", "ModuleContext", "ModulePerf",
-    "ModuleSummary", "PARSE_RULE", "PERF_RULE_NAMES", "ProfileError",
+    "ANALYSIS_VERSION", "BASELINE_SCHEMA", "CFG", "CONC_RULE_NAMES",
+    "CallGraph", "ConfigError", "DEEP_RULE_NAMES", "DEFAULT_BASELINE",
+    "BaselineEntry", "BaselineError", "DeclarationError", "DeepAnalyzer",
+    "DeepStats", "Finding", "LintConfig", "LintResult", "LintRunner",
+    "LockGraph", "ModuleContext", "ModuleSummary", "PARSE_RULE",
     "ProjectRule", "REPORT_SCHEMA", "Rule", "ShapeContract", "SymbolTable",
     "TAXONOMY_ERRORS", "UnitDeclarations", "apply_baseline",
-    "build_cfg", "build_layer_graph", "build_lock_graph", "default_config",
-    "default_rules", "discover_default_profile", "dump_cfg",
-    "dump_layer_graph", "dump_lock_graph", "extract_module_perf",
-    "function_cfgs", "load_baseline", "load_config", "load_declarations",
-    "load_hotness", "module_layer", "module_name", "parse_contract_text",
+    "build_cfg", "build_lock_graph", "default_config", "default_rules",
+    "dump_cfg", "dump_lock_graph", "function_cfgs", "load_baseline",
+    "load_config", "load_declarations", "module_name", "parse_contract_text",
     "python_files", "render_json", "render_text", "report_document",
     "rule_catalogue", "summarize_module", "suppressed_lines",
     "write_baseline",

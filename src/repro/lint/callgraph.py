@@ -51,18 +51,6 @@ class CallGraph:
     def successors(self, node: Node) -> List[Node]:
         return self.edges.get(node, [])
 
-    def reachable_from(self, start: Node) -> Set[Node]:
-        """Every node reachable from ``start`` (including itself)."""
-        seen: Set[Node] = set()
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(self.successors(node))
-        return seen
-
     def find_path(self, start: Node,
                   predicate: Callable[[Node, FunctionSummary], bool]
                   ) -> Optional[List[Node]]:

@@ -12,15 +12,6 @@ policy change is a config edit, not a source edit:
     exclude = ["examples/scratch_*.py"]
     unit-declarations = "src/repro/lint/units.json"
 
-    [tool.repro-lint.layers]
-    obs = []
-    nn = ["obs", "robustness"]
-
-The ``layers`` sub-table declares the architecture contract the ARCH
-pack (``repro lint --arch``) enforces: each key is a layer (top-level
-package under ``repro``) and its value the layers it may import at
-module scope.
-
 ``tomllib`` (Python 3.11+) parses the file when available; on older
 interpreters a deliberately tiny fallback parser reads just the subset this
 section uses (string and string-list values), so the linter stays
@@ -48,15 +39,8 @@ class LintConfig:
     det003_exempt: Tuple[str, ...] = DEFAULT_DET003_EXEMPT
     exclude: Tuple[str, ...] = ()
     unit_declarations: Optional[str] = None
-    #: ``(layer, allowed layers)`` pairs from [tool.repro-lint.layers]
-    #: (a tuple-of-pairs keeps the dataclass hashable/frozen).
-    layers: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()
     #: Directory the config was loaded from (anchors relative paths).
     root: str = "."
-
-    def layer_contracts(self) -> Dict[str, Tuple[str, ...]]:
-        """The layer-contract table as a plain dict (ARCH pack input)."""
-        return {layer: allowed for layer, allowed in self.layers}
 
     def unit_declarations_path(self) -> Optional[str]:
         """The unit-declarations path resolved against the config root."""
@@ -109,9 +93,8 @@ def config_from_pyproject(path: str) -> LintConfig:
         raise ConfigError(
             f"{path!r}: [tool.{CONFIG_SECTION}] unit-declarations must be "
             f"a string")
-    layers = _layer_table(section, path)
-    unknown = sorted(set(section) - {"det003-exempt", "exclude",
-                                     "unit-declarations", "layers"})
+    unknown = sorted(set(section)
+                     - {"det003-exempt", "exclude", "unit-declarations"})
     if unknown:
         raise ConfigError(
             f"{path!r}: unknown [tool.{CONFIG_SECTION}] key(s): "
@@ -121,30 +104,7 @@ def config_from_pyproject(path: str) -> LintConfig:
         else config.det003_exempt,
         exclude=tuple(exclude) if exclude is not None else (),
         unit_declarations=declarations,
-        layers=layers,
         root=config.root)
-
-
-def _layer_table(section: Dict[str, Any], path: str
-                 ) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
-    """Validate ``[tool.repro-lint.layers]`` into frozen contract pairs."""
-    raw = section.get("layers")
-    if raw is None:
-        return ()
-    if not isinstance(raw, dict):
-        raise ConfigError(
-            f"{path!r}: [tool.{CONFIG_SECTION}.layers] must be a table of "
-            f"layer = [allowed layers] entries")
-    pairs: List[Tuple[str, Tuple[str, ...]]] = []
-    for layer in sorted(raw):
-        allowed = raw[layer]
-        if not isinstance(allowed, list) \
-                or not all(isinstance(item, str) for item in allowed):
-            raise ConfigError(
-                f"{path!r}: [tool.{CONFIG_SECTION}.layers] {layer} must be "
-                f"a list of layer-name strings")
-        pairs.append((str(layer), tuple(sorted(set(allowed)))))
-    return tuple(pairs)
 
 
 def _string_list(section: Dict[str, Any], key: str,
@@ -183,32 +143,24 @@ _STRING = re.compile(r'^"(?P<body>[^"]*)"$')
 def _fallback_section(text: str) -> Dict[str, Any]:
     """Minimal TOML-subset reader for pre-3.11 interpreters.
 
-    Understands exactly what ``[tool.repro-lint]`` uses: bare string values,
-    single-line string lists, and the ``[tool.repro-lint.layers]`` sub-table
-    (whose entries become a nested dict, as tomllib would produce).  Anything
-    else in the section is surfaced as-is so the validators above reject it
-    loudly.
+    Understands exactly what ``[tool.repro-lint]`` uses: bare string values
+    and single-line string lists.  Anything else in the section is surfaced
+    as-is so the validators above reject it loudly.
     """
     section: Dict[str, Any] = {}
-    target: Optional[Dict[str, Any]] = None
+    inside = False
     for line in text.splitlines():
         stripped = line.split("#", 1)[0] if '"' not in line else line
         header = _HEADER.match(stripped)
         if header:
-            name = header.group("name").strip()
-            if name == f"tool.{CONFIG_SECTION}":
-                target = section
-            elif name == f"tool.{CONFIG_SECTION}.layers":
-                target = section.setdefault("layers", {})
-            else:
-                target = None
+            inside = header.group("name").strip() == f"tool.{CONFIG_SECTION}"
             continue
-        if target is None:
+        if not inside:
             continue
         assign = _ASSIGN.match(stripped)
         if assign is None:
             continue
-        target[assign.group("key")] = _parse_value(assign.group("value"))
+        section[assign.group("key")] = _parse_value(assign.group("value"))
     return section
 
 

@@ -13,18 +13,16 @@ One :class:`DeepAnalyzer` run does, in order:
    :mod:`.flowrules` + :mod:`.callgraph`, SHAPE via :mod:`.shapes`, UNIT
    via :mod:`.units`) over a symbol table built from *all* summaries, and
    reuse cached findings for clean modules;
-5. run the opt-in whole-program packs — CONC (:mod:`.concurrency`), PERF
-   (:mod:`.perf`), ARCH (:mod:`.layers`).  Their per-module *models*
-   (lock models, perf sites) ride the same cache by content hash; their
+5. run the opt-in whole-program CONC pack (:mod:`.concurrency`).  Its
+   per-module lock *models* ride the same cache by content hash; its
    *findings* are always assembled fresh, because one edge anywhere can
-   change a whole-program verdict (a LOCK001 cycle, a PERF001 chain);
+   change a whole-program verdict (a LOCK001 cycle);
 6. **persist** the cache: one JSON file mapping module name to
-   ``{hash, summary, findings[, concurrency][, perf]}`` plus a config
+   ``{hash, summary, findings[, concurrency]}`` plus a config
    fingerprint covering the analysis version, the **enabled pack set and
-   per-pack rule versions**, the unit declarations and the layer
-   contracts — so toggling ``--deep/--concurrency/--perf/--arch`` (or
-   bumping any pack) invalidates everything, while a one-module edit
-   re-analyzes only that module and its importers.
+   per-pack rule versions** and the unit declarations — so toggling
+   ``--concurrency`` (or bumping any pack) invalidates everything, while
+   a one-module edit re-analyzes only that module and its importers.
 
 Counters (:class:`DeepStats`) expose exactly how much work was done —
 ``modules_analyzed`` vs ``modules_cached``, and ``modules_parsed`` (the
@@ -58,9 +56,9 @@ from .symbols import ModuleSummary, SymbolTable, summarize_module
 from .units import UnitDeclarations, check_units, load_declarations
 
 #: Bump when any deep pack's semantics change: stale caches self-invalidate.
-#: v2: module summaries grew ``import_sites`` (ARCH input) and the cache
-#: fingerprint covers the enabled pack set + per-pack versions.
-ANALYSIS_VERSION = "repro-lint-deep/2"
+#: v2: the cache fingerprint covers the enabled pack set + per-pack
+#: versions.  v3: module summaries no longer carry import sites.
+ANALYSIS_VERSION = "repro-lint-deep/3"
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE = ".repro-lint-cache.json"
@@ -69,10 +67,8 @@ DEFAULT_CACHE = ".repro-lint-cache.json"
 #: ``--list-rules``.
 PACKS = ("FLOW", "SHAPE", "UNIT")
 
-#: The optional whole-program packs.
+#: The optional whole-program pack.
 CONC_PACK = "CONC"
-PERF_PACK = "PERF"
-ARCH_PACK = "ARCH"
 
 
 @dataclass
@@ -91,19 +87,11 @@ class DeepStats:
     #: "models_reused": .., "models_extracted": ..}`` when the CONC pack
     #: ran this run, else ``None``.
     concurrency: Optional[Dict[str, int]] = None
-    #: PERF block (counters + hot-path manifest) when ``--perf`` ran.
-    perf: Optional[Dict[str, object]] = None
-    #: ARCH block (layer/edge/violation counters) when ``--arch`` ran.
-    arch: Optional[Dict[str, object]] = None
 
     def as_dict(self) -> Dict[str, object]:
         packs = list(PACKS)
         if self.concurrency is not None:
             packs.append(CONC_PACK)
-        if self.perf is not None:
-            packs.append(PERF_PACK)
-        if self.arch is not None:
-            packs.append(ARCH_PACK)
         document: Dict[str, object] = {
             "modules_total": self.modules_total,
             "modules_analyzed": self.modules_analyzed,
@@ -117,10 +105,6 @@ class DeepStats:
         }
         if self.concurrency is not None:
             document["concurrency"] = dict(self.concurrency)
-        if self.perf is not None:
-            document["perf"] = dict(self.perf)
-        if self.arch is not None:
-            document["arch"] = dict(self.arch)
         return document
 
 
@@ -149,21 +133,12 @@ class DeepAnalyzer:
 
     def __init__(self, config: Optional[LintConfig] = None,
                  cache_path: Optional[str] = DEFAULT_CACHE,
-                 concurrency: bool = False, perf: bool = False,
-                 arch: bool = False,
-                 hot_profiles: Optional[Sequence[str]] = None) -> None:
+                 concurrency: bool = False) -> None:
         self.config = config if config is not None else default_config()
         self.cache_path = cache_path
         self.concurrency = concurrency
-        self.perf = perf
-        self.arch = arch
         self.declarations: UnitDeclarations = load_declarations(
             self.config.unit_declarations_path())
-        self.hotness = None
-        if perf and hot_profiles:
-            from .hotness import load_hotness  # ProfileError propagates
-
-            self.hotness = load_hotness(list(hot_profiles))
         self._parses = 0
 
     # ------------------------------------------------------------------
@@ -181,22 +156,10 @@ class DeepAnalyzer:
 
             packs.append(CONC_PACK)
             versions["conc"] = CONC_PACK_VERSION
-        if self.perf:
-            from .perf import PERF_PACK_VERSION
-
-            packs.append(PERF_PACK)
-            versions["perf"] = PERF_PACK_VERSION
-        if self.arch:
-            from .layers import ARCH_PACK_VERSION
-
-            packs.append(ARCH_PACK)
-            versions["arch"] = ARCH_PACK_VERSION
         payload = json.dumps({
             "version": ANALYSIS_VERSION,
             "packs": packs,
             "pack_versions": versions,
-            "layers": {layer: list(allowed) for layer, allowed
-                       in sorted(self.config.layer_contracts().items())},
             "scopes": list(self.declarations.scopes),
             "names": {k: list(v)
                       for k, v in sorted(self.declarations.names.items())},
@@ -277,11 +240,6 @@ class DeepAnalyzer:
         if self.concurrency:
             findings.extend(self._run_concurrency(
                 states, table, cached, dirty, fresh_cache, stats))
-        if self.perf:
-            findings.extend(self._run_perf(
-                states, table, graph, cached, dirty, fresh_cache, stats))
-        if self.arch:
-            findings.extend(self._run_arch(states, summaries, stats))
         stats.modules_parsed = self._parses
         self._write_cache(fresh_cache)
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
@@ -347,72 +305,6 @@ class DeepAnalyzer:
             "models_extracted": extracted,
         }
         _record_concurrency_metrics(stats.concurrency)
-        return kept
-
-    def _run_perf(self, states: Dict[str, _ModuleState],
-                  table: SymbolTable, graph: CallGraph,
-                  cached: Dict[str, Dict[str, object]],
-                  dirty: Set[str],
-                  fresh_cache: Dict[str, Dict[str, object]],
-                  stats: DeepStats) -> List[Finding]:
-        """The PERF pack: cacheable per-module sites, fresh assembly."""
-        from .perf import ModulePerf, extract_module_perf, run_perf
-
-        perfs: Dict[str, ModulePerf] = {}
-        sources: Dict[str, Sequence[str]] = {}
-        reused = extracted = 0
-        for module, state in states.items():
-            if state.summary is None:
-                continue
-            lines = state.source.splitlines()
-            perf: Optional[ModulePerf] = None
-            if module not in dirty:
-                raw = cached.get(module, {}).get("perf")
-                if isinstance(raw, dict):
-                    try:
-                        perf = ModulePerf.from_dict(raw)
-                        reused += 1
-                    except (KeyError, TypeError, ValueError):
-                        perf = None
-            if perf is None:
-                if state.tree is None:
-                    self._parse(state)
-                if state.tree is None:
-                    continue
-                perf = extract_module_perf(
-                    state.summary, state.tree, state.display)
-                extracted += 1
-            perfs[module] = perf
-            sources[module] = lines
-            if module in fresh_cache:
-                fresh_cache[module]["perf"] = perf.as_dict()
-        findings, block = run_perf(table, graph, perfs, sources,
-                                   self.hotness)
-        kept = self._filter_suppressed(findings, states, stats)
-        block["findings"] = len(kept)
-        block["hot"] = sum(1 for f in kept if f.severity == "error")
-        block["cold"] = len(kept) - int(block["hot"])  # type: ignore[call-overload]
-        block["models_reused"] = reused
-        block["models_extracted"] = extracted
-        stats.perf = block
-        _record_perf_metrics(block)
-        return kept
-
-    def _run_arch(self, states: Dict[str, _ModuleState],
-                  summaries: Dict[str, ModuleSummary],
-                  stats: DeepStats) -> List[Finding]:
-        """The ARCH pack: layer contracts over the import graph."""
-        from .layers import run_arch
-
-        check = [module for module, state in states.items()
-                 if state.summary is not None]
-        findings, block = run_arch(summaries,
-                                   self.config.layer_contracts(), check)
-        kept = self._filter_suppressed(findings, states, stats)
-        block["findings"] = len(kept)
-        block["violations"] = sum(1 for f in kept if f.rule == "ARCH001")
-        stats.arch = block
-        _record_arch_metrics(block)
         return kept
 
     def _filter_suppressed(self, findings: List[Finding],
@@ -577,27 +469,6 @@ def _record_concurrency_metrics(counts: Dict[str, int]) -> None:
     metrics.counter("lint.concurrency.findings").inc(counts["findings"])
     metrics.counter("lint.concurrency.lock_edges").inc(
         counts["lock_edges"])
-
-
-def _record_perf_metrics(block: Dict[str, object]) -> None:
-    """Bump ``lint.perf.*`` counters (same best-effort contract)."""
-    try:
-        from repro.obs import get_metrics
-    except ImportError:  # pragma: no cover - stripped environment
-        return
-    metrics = get_metrics()
-    metrics.counter("lint.perf.findings").inc(int(block["findings"]))  # type: ignore[call-overload]
-    metrics.counter("lint.perf.hot_findings").inc(int(block["hot"]))  # type: ignore[call-overload]
-
-
-def _record_arch_metrics(block: Dict[str, object]) -> None:
-    """Bump ``lint.arch.*`` counters (same best-effort contract)."""
-    try:
-        from repro.obs import get_metrics
-    except ImportError:  # pragma: no cover - stripped environment
-        return
-    metrics = get_metrics()
-    metrics.counter("lint.arch.violations").inc(int(block["violations"]))  # type: ignore[call-overload]
 
 
 def _findings_from_cache(entry: Dict[str, object]) -> List[Finding]:

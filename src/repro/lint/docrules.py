@@ -1,13 +1,13 @@
 """Non-AST lint rules: internal documentation link checking (DOC001).
 
-This is the engine behind ``tools/check_docs_links.py`` (the standalone
-script is now a thin wrapper), folded into the linter so ``repro lint`` is
-the single static-analysis entry point.  It scans every markdown file
-under a root for inline links/images (``[text](target)``) and reference
-definitions (``[label]: target``), resolves relative targets against the
-containing file, and reports targets whose file or in-file ``#fragment``
-anchor does not exist.  External links (``http(s)://``, ``mailto:``) are
-ignored — CI must not depend on the network.
+Part of the linter, so ``repro lint`` is the single static-analysis entry
+point (tier-1's self-check runs it over the whole repository).  It scans
+every markdown file under a root for inline links/images
+(``[text](target)``) and reference definitions (``[label]: target``),
+resolves relative targets against the containing file, and reports
+targets whose file or in-file ``#fragment`` anchor does not exist.
+External links (``http(s)://``, ``mailto:``) are ignored — CI must not
+depend on the network.
 
 GitHub-style anchors are derived from headings: lowercase, spaces to
 hyphens, punctuation dropped.  Fragment checks are best-effort (formatting

@@ -1,6 +1,6 @@
 """Text and JSON renderers for lint results.
 
-The JSON document (schema ``repro-lint/4``) is the machine interface CI
+The JSON document (schema ``repro-lint/5``) is the machine interface CI
 consumes and archives; it is rendered with sorted keys and a stable field
 set so reports diff cleanly across runs.  Version 2 added the deep-tier
 block: ``packs`` (which analysis packs exist) and ``cache`` (the
@@ -9,12 +9,9 @@ served from the summary cache), both ``null``-free only when ``--deep``
 ran.  Version 3 adds the ``concurrency`` block — the CONC pack's
 whole-program counters (modules swept, lock nodes, lock-order edges,
 findings) when ``--concurrency`` ran, else ``null`` — and lists ``CONC``
-in ``packs`` for such runs.  Version 4 adds the ``perf`` block (the PERF
-pack's counters, the profile sources and hot threshold, and the
-**hot-path manifest** — one row per profiled span with its attributed
-function and exclusive seconds) and the ``arch`` block (layer-contract
-counters), each ``null`` unless its pack ran, plus ``PERF``/``ARCH`` in
-``packs``.  The text renderer is for humans at the terminal: one
+in ``packs`` for such runs.  Version 4 added ``perf`` and ``arch``
+blocks; version 5 drops them again with the packs that filled them.
+The text renderer is for humans at the terminal: one
 ``path:line:col: RULE severity: message`` row per finding plus a summary
 line.
 """
@@ -26,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .engine import LintResult, Rule
 
-REPORT_SCHEMA = "repro-lint/4"
+REPORT_SCHEMA = "repro-lint/5"
 
 
 def render_text(result: LintResult) -> str:
@@ -52,16 +49,6 @@ def render_text(result: LintResult) -> str:
             conc = result.deep.concurrency
             extras.append(f"concurrency: {conc['locks']} lock(s), "
                           f"{conc['lock_edges']} order edge(s)")
-        if result.deep.perf is not None:
-            perf = result.deep.perf
-            sources = perf.get("profile_sources")
-            n_sources = len(sources) if isinstance(sources, list) else 0
-            extras.append(f"perf: {perf['hot']} hot / {perf['cold']} cold "
-                          f"finding(s) from {n_sources} profile(s)")
-        if result.deep.arch is not None:
-            arch = result.deep.arch
-            extras.append(f"arch: {arch['violations']} violation(s) over "
-                          f"{arch['edges']} layer edge(s)")
     if extras:
         tail += " (" + ", ".join(extras) + ")"
     lines.append(tail if result.findings else f"clean: {tail}")
@@ -69,24 +56,16 @@ def render_text(result: LintResult) -> str:
 
 
 def report_document(result: LintResult) -> Dict[str, object]:
-    """The ``repro-lint/4`` report as a JSON-safe dict."""
+    """The ``repro-lint/5`` report as a JSON-safe dict."""
     deep: Optional[Dict[str, object]] = None
     packs: List[str] = []
     concurrency: Optional[Dict[str, object]] = None
-    perf: Optional[Dict[str, object]] = None
-    arch: Optional[Dict[str, object]] = None
     if result.deep is not None:
         stats = result.deep.as_dict()
         packs = list(stats.pop("packs", []))
         raw_conc = stats.pop("concurrency", None)
         if isinstance(raw_conc, dict):
             concurrency = raw_conc
-        raw_perf = stats.pop("perf", None)
-        if isinstance(raw_perf, dict):
-            perf = raw_perf
-        raw_arch = stats.pop("arch", None)
-        if isinstance(raw_arch, dict):
-            arch = raw_arch
         deep = stats
     return {
         "schema": REPORT_SCHEMA,
@@ -100,8 +79,6 @@ def report_document(result: LintResult) -> Dict[str, object]:
         "packs": packs,
         "cache": deep,
         "concurrency": concurrency,
-        "perf": perf,
-        "arch": arch,
         "exit_code": result.exit_code,
     }
 

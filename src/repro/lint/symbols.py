@@ -142,28 +142,6 @@ class FunctionSummary:
 
 
 @dataclass
-class ImportSite:
-    """One import statement: target module, line, and execution scope.
-
-    ``toplevel`` is True when the statement runs at module import time
-    (module body, including under ``if``/``try`` guards) and False for
-    deferred imports inside a function — the distinction the ARCH layer
-    contracts are defined over.
-    """
-
-    module: str
-    line: int
-    toplevel: bool
-
-    def as_dict(self) -> List[Any]:
-        return [self.module, self.line, self.toplevel]
-
-    @classmethod
-    def from_dict(cls, raw: List[Any]) -> "ImportSite":
-        return cls(str(raw[0]), int(raw[1]), bool(raw[2]))
-
-
-@dataclass
 class ModuleSummary:
     """Serializable whole-module digest for the deep analysis tier."""
 
@@ -177,8 +155,6 @@ class ModuleSummary:
     imports: Dict[str, Tuple[str, Optional[str]]] = field(default_factory=dict)
     #: imported module names (the import-graph edges, pre-filter).
     imported_modules: List[str] = field(default_factory=list)
-    #: every import statement with line and scope (the ARCH pack's input).
-    import_sites: List[ImportSite] = field(default_factory=list)
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
@@ -190,7 +166,6 @@ class ModuleSummary:
                         for alias, (target, symbol)
                         in sorted(self.imports.items())},
             "imported_modules": sorted(set(self.imported_modules)),
-            "import_sites": [site.as_dict() for site in self.import_sites],
             "functions": {name: fn.as_dict()
                           for name, fn in sorted(self.functions.items())},
         }
@@ -205,8 +180,6 @@ class ModuleSummary:
                      for alias, pair in raw.get("imports", {}).items()},
             imported_modules=[str(m)
                               for m in raw.get("imported_modules", [])],
-            import_sites=[ImportSite.from_dict(site)
-                          for site in raw.get("import_sites", [])],
             functions={name: FunctionSummary.from_dict(fn)
                        for name, fn in raw.get("functions", {}).items()})
 
@@ -240,13 +213,11 @@ def summarize_module(module: str, path: str, tree: ast.Module,
     return summary
 
 
-def _collect_imports(summary: ModuleSummary, tree: ast.Module,
-                     toplevel: bool = True) -> None:
-    """Collect aliases + import sites, tracking function nesting.
+def _collect_imports(summary: ModuleSummary, tree: ast.AST) -> None:
+    """Collect aliases and imported modules in source order.
 
-    Aliases are collected everywhere (a deferred import still binds the
-    name later call sites use); ``toplevel`` only marks whether each site
-    executes at module import time, which the ARCH pack keys on.
+    Aliases are collected everywhere: a deferred import still binds the
+    name later call sites use.
     """
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, ast.Import):
@@ -256,25 +227,19 @@ def _collect_imports(summary: ModuleSummary, tree: ast.Module,
                     alias.name.split(".")[0]
                 summary.imports[bound] = (target, None)
                 summary.imported_modules.append(alias.name)
-                summary.import_sites.append(ImportSite(
-                    alias.name, node.lineno, toplevel))
         elif isinstance(node, ast.ImportFrom):
             target = resolve_relative(summary.module, summary.is_package,
                                       node.level, node.module)
             if target is None:
                 continue
             summary.imported_modules.append(target)
-            summary.import_sites.append(ImportSite(
-                target, node.lineno, toplevel))
             for alias in node.names:
                 if alias.name == "*":
                     continue
                 bound = alias.asname or alias.name
                 summary.imports[bound] = (target, alias.name)
         else:
-            inner_toplevel = toplevel and not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-            _collect_imports(summary, node, inner_toplevel)  # type: ignore[arg-type]
+            _collect_imports(summary, node)
 
 
 def _function_defs(tree: ast.Module

@@ -24,8 +24,6 @@ nothing while the tracer is disabled.
 
 from .tracer import (NULL_SPAN, TRACE_ENV_VAR, Span, Tracer,
                      configure_from_env, get_tracer)
-from .attribution import (SPAN_CHILDREN, SPAN_FAMILIES, SPAN_FUNCTIONS,
-                          span_children, span_function)
 from .lockwatch import (WATCHDOG_ENV, LockOrderInversion, LockOrderWatchdog,
                         WatchedLock, get_lock_watchdog, named_lock,
                         watchdog_enabled)
@@ -42,8 +40,6 @@ from .bench import (BENCH_SCHEMA, DEFAULT_ECO_WORKLOAD, DEFAULT_WORKLOAD,
 __all__ = [
     "Span", "Tracer", "get_tracer", "configure_from_env", "NULL_SPAN",
     "TRACE_ENV_VAR",
-    "SPAN_CHILDREN", "SPAN_FAMILIES", "SPAN_FUNCTIONS", "span_children",
-    "span_function",
     "WATCHDOG_ENV", "LockOrderInversion", "LockOrderWatchdog",
     "WatchedLock", "get_lock_watchdog", "named_lock", "watchdog_enabled",
     "Counter", "Gauge", "Histogram", "MetricRegistry", "get_metrics",

@@ -186,10 +186,15 @@ class TestPersistence:
 
     def test_corrupted_file_degrades_to_recompute(self, tmp_path):
         result = self._analyze(tmp_path)
-        for path in tmp_path.glob("*.npz"):
-            path.write_bytes(b"garbage, not a zip archive")
-        again = self._analyze(tmp_path)
-        np.testing.assert_array_equal(result.delays(), again.delays())
+        valid = {path: path.read_bytes() for path in tmp_path.glob("*.npz")}
+        garbage = {path: b"garbage, not a zip archive" for path in valid}
+        truncated = {path: data[:len(data) // 2]
+                     for path, data in valid.items()}
+        for corrupted in (garbage, truncated):
+            for path, data in corrupted.items():
+                path.write_bytes(data)
+            again = self._analyze(tmp_path)
+            np.testing.assert_array_equal(result.delays(), again.delays())
 
     def test_schema_mismatch_is_a_miss(self, tmp_path):
         self._analyze(tmp_path)

@@ -34,7 +34,7 @@ def deep_lint(tmp_path, monkeypatch):
     ``(findings, stats)`` where ``files`` maps relative paths (package
     layout, e.g. ``"pkg/tasks.py"``) to source text.  Re-invoking with the
     same ``cache_path`` exercises the incremental cache; ``**packs``
-    forwards pack toggles (``concurrency=True``, ``perf=True``, ...).
+    forwards the pack toggle (``concurrency=True``).
     """
     monkeypatch.chdir(tmp_path)
 

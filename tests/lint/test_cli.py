@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 DIRTY = "import random\n"
@@ -30,7 +32,7 @@ def test_json_format(tmp_path, capsys):
     path = _write(tmp_path, "bad.py", DIRTY)
     assert main(["lint", path, "--format", "json"]) == 1
     document = json.loads(capsys.readouterr().out)
-    assert document["schema"] == "repro-lint/4"
+    assert document["schema"] == "repro-lint/5"
     assert document["counts"] == {"DET002": 1}
 
 
@@ -187,104 +189,8 @@ def test_changed_mode_with_no_changes_is_clean(tmp_path, capsys,
     assert "no changed python files" in capsys.readouterr().out
 
 
-# ----------------------------------------------------------------------
-# PERF / ARCH packs + repro report --hot
-# ----------------------------------------------------------------------
-PYPROJECT_LAYERS = """\
-[tool.repro-lint.layers]
-design = []
-nn = ["obs"]
-"""
-
-HOT_MODULE = """\
-import numpy as np
-from repro.design.netlist import Design
-
-
-def analyze(nets):
-    for net in nets:
-        np.linalg.eig(net)
-"""
-
-
-def _perf_arch_fixture(tmp_path):
-    (tmp_path / "pyproject.toml").write_text(PYPROJECT_LAYERS,
-                                             encoding="utf-8")
-    pkg = tmp_path / "src" / "repro" / "nn"
-    pkg.mkdir(parents=True)
-    (pkg / "model.py").write_text(HOT_MODULE, encoding="utf-8")
-    trace = tmp_path / "trace.jsonl"
-    trace.write_text(json.dumps({"name": "train.epoch", "wall_s": 2.0})
-                     + "\n", encoding="utf-8")
-    return str(trace)
-
-
-def test_perf_arch_json_document(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    trace = _perf_arch_fixture(tmp_path)
-    assert main(["lint", "src/repro/nn/model.py", "--perf", "--arch",
-                 "--hot-profile", trace, "--cache", "off",
-                 "--format", "json"]) == 1
-    document = json.loads(capsys.readouterr().out)
-    assert document["schema"] == "repro-lint/4"
-    assert "PERF" in document["packs"] and "ARCH" in document["packs"]
-    rules = sorted(f["rule"] for f in document["findings"])
-    assert "ARCH001" in rules and "PERF001" in rules
-    perf = document["perf"]
-    assert perf["profile_sources"] == [trace]
-    assert perf["hot_threshold_s"] > 0
-    assert [row["span"] for row in perf["manifest"]] == ["train.epoch"]
-    arch = document["arch"]
-    assert arch["violations"] == 1
-    assert arch["layers_declared"] == 2
-
-
-def test_perf_implies_deep_and_text_summary(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    trace = _perf_arch_fixture(tmp_path)
-    assert main(["lint", "src/repro/nn/model.py", "--perf", "--arch",
-                 "--hot-profile", trace, "--cache", "off"]) == 1
-    out = capsys.readouterr().out
-    assert "PERF001" in out and "ARCH001" in out
-    assert "perf: 0 hot / 1 cold finding(s) from 1 profile(s)" in out
-    assert "arch: 1 violation(s) over" in out
-
-
-def test_bad_hot_profile_is_usage_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    _write(tmp_path, "ok.py", CLEAN)
-    garbage = _write(tmp_path, "garbage.txt", "not a profile\n")
-    assert main(["lint", "ok.py", "--perf",
-                 "--hot-profile", garbage]) == 2
-    assert "error:" in capsys.readouterr().err
-
-
-def test_list_rules_includes_perf_and_arch(capsys):
-    assert main(["lint", "--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for rule in ("PERF001", "PERF002", "PERF003", "PERF004", "PERF005",
-                 "ARCH001", "ARCH002"):
-        assert rule in out
-
-
-def test_report_hot_prints_ranked_table(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    trace = _perf_arch_fixture(tmp_path)
-    assert main(["report", "--hot", trace, "--top", "5"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("hot functions (")
-    assert "train.epoch" in out
-    assert "repro.nn.trainer.Trainer.fit" in out
-
-
-def test_report_hot_rejects_bad_profile(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    garbage = _write(tmp_path, "garbage.txt", "not a profile\n")
-    assert main(["report", "--hot", garbage]) == 1
-    assert "error:" in capsys.readouterr().err
-
-
-def test_report_without_inputs_or_hot_is_usage_error(capsys):
-    assert main(["report"]) == 2
-    err = capsys.readouterr().err
-    assert "--verilog" in err and "--hot" in err
+def test_report_without_inputs_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["report"])
+    assert exit_info.value.code == 2
+    assert "--verilog" in capsys.readouterr().err

@@ -111,10 +111,10 @@ class TestPackToggleInvalidation:
     """The cache key covers the enabled pack set (regression).
 
     A cache written by a plain ``--deep`` run must not be replayed
-    verbatim once ``--concurrency``/``--perf``/``--arch`` joins: the old
-    entries carry no pack models and their findings lists are silently
-    missing pack results.  The fingerprint now includes the pack set and
-    each pack's version, so any toggle invalidates the whole cache.
+    verbatim once ``--concurrency`` joins: the old entries carry no pack
+    models and their findings lists are silently missing pack results.
+    The fingerprint now includes the pack set and each pack's version, so
+    any toggle invalidates the whole cache.
     """
 
     def test_enabling_a_pack_invalidates_a_deep_only_cache(self, deep_lint,
@@ -154,13 +154,3 @@ class TestPackToggleInvalidation:
         findings, stats = deep_lint(LOCKED, cache_path=cache)
         assert not stats.cache_loaded
         assert findings == []  # no pack, no pack findings
-
-    def test_pack_toggle_preserves_distinct_fingerprints(self, deep_lint,
-                                                         tmp_path):
-        # perf and arch toggles invalidate independently too.
-        cache = str(tmp_path / "cache.json")
-        deep_lint(LOCKED, cache_path=cache, perf=True)
-        _, stats = deep_lint(LOCKED, cache_path=cache, arch=True)
-        assert not stats.cache_loaded
-        _, stats = deep_lint(LOCKED, cache_path=cache, arch=True)
-        assert stats.cache_loaded

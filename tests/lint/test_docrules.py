@@ -1,9 +1,6 @@
 """DOC001: internal markdown link checking, standalone and in the linter."""
 
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 from repro.lint import LintRunner
 from repro.lint.docrules import (
@@ -12,8 +9,6 @@ from repro.lint.docrules import (
     github_slug,
     link_targets,
 )
-
-REPO = Path(__file__).resolve().parents[2]
 
 
 def test_github_slug():
@@ -75,13 +70,3 @@ def test_doc001_clean_tree(tmp_path):
                                    encoding="utf-8")
     result = LintRunner(select=["DOC001"]).run([str(pkg)])
     assert result.findings == []
-
-
-def test_standalone_wrapper_matches_repo(tmp_path):
-    """tools/check_docs_links.py stays a working thin wrapper."""
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "tools" / "check_docs_links.py"),
-         str(REPO)],
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert "all internal doc links resolve" in proc.stdout

@@ -67,10 +67,10 @@ class TestSuppression:
             "value = compute(\n"
             "    alpha,\n"
             "    beta,\n"
-            ")  # repro-lint: disable=PERF001\n")
+            ")  # repro-lint: disable=FLOW003\n")
         lines = suppressed_lines(source)
-        assert lines[1] == {"PERF001"}
-        assert lines[4] == {"PERF001"}
+        assert lines[1] == {"FLOW003"}
+        assert lines[4] == {"FLOW003"}
 
     def test_multiline_comment_on_first_line_also_covers_all(self):
         source = (
@@ -201,8 +201,8 @@ class TestModuleName:
             "repro.analysis.elmore"
 
     def test_plain_path_keeps_segments(self):
-        assert module_name("tools/check_docs_links.py") == \
-            "tools.check_docs_links"
+        assert module_name("tools/gen_metrics_doc.py") == \
+            "tools.gen_metrics_doc"
 
 
 class TestBaseline:

@@ -17,7 +17,7 @@ def run(task):
 """
 
 GOLDEN = {
-    "schema": "repro-lint/4",
+    "schema": "repro-lint/5",
     "files_checked": 1,
     "findings": [
         {
@@ -48,8 +48,6 @@ GOLDEN = {
     "packs": [],
     "cache": None,
     "concurrency": None,
-    "perf": None,
-    "arch": None,
     "exit_code": 1,
 }
 

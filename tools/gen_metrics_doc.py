@@ -216,16 +216,6 @@ DESCRIPTIONS: Dict[str, Tuple[str, str]] = {
         "LOCK001/LOCK002/GUARD001/ESCAPE001."),
     "lint.concurrency.lock_edges": (
         "counter", "Lock-order graph edges discovered per run."),
-    # -- lint: the --perf / --arch packs -------------------------------
-    "lint.perf.findings": (
-        "counter", "PERF-pack findings emitted (post-suppression): "
-        "PERF001..PERF005."),
-    "lint.perf.hot_findings": (
-        "counter", "PERF findings on a measured hot path (error "
-        "severity)."),
-    "lint.arch.violations": (
-        "counter", "ARCH001 layer-contract violations "
-        "(`repro lint --arch`)."),
 }
 
 #: statically named instruments created lazily inside a code path (via
@@ -239,9 +229,6 @@ LAZY_REGISTERED = {
     "lint.concurrency.modules",
     "lint.concurrency.findings",
     "lint.concurrency.lock_edges",
-    "lint.perf.findings",
-    "lint.perf.hot_findings",
-    "lint.arch.violations",
 }
 
 #: prefix -> (kind, display name, description) for runtime-named metrics.
