@@ -10,17 +10,20 @@ trained estimator into the STA engine as a wire-delay model — the Table V
 
 from __future__ import annotations
 
+import contextlib
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
-from ..design.sta import WireTimingModel
+from ..design.sta import WireBinding, WireTimingModel
 from ..obs import get_metrics, get_tracer
 from ..robustness.errors import InputError, ModelError
-from ..features.path_features import NetContext
-from ..features.pipeline import FeatureScaler, NetSample, build_net_sample
+from ..features.path_features import PATH_FEATURE_NAMES, NetContext
+from ..features.pipeline import (FeatureScaler, NetSample, PathRecord,
+                                 build_net_sample)
 from ..nn.layers import Module
 from ..nn.loss import mse_loss
 from ..nn.metrics import max_abs_error, r2_score
@@ -38,6 +41,13 @@ _PS = 1e-12
 _MAX_PROVENANCE_RECORDS = 4096
 
 ModelFactory = Callable[[int, int, GNNTransConfig, np.random.Generator], Module]
+#: A model's per-call half from ``bind``: path records -> (slew, delay).
+PathForward = Callable[[Sequence[PathRecord]], Tuple[Tensor, Tensor]]
+#: Per-path ``(slew_ps, delay_ps)`` of one net from its path records, from
+#: :meth:`WireTimingEstimator.bind_sample`.
+PathPredictor = Callable[[Sequence[PathRecord]], Tuple[np.ndarray, np.ndarray]]
+
+_SLEW_COLUMN = PATH_FEATURE_NAMES.index("input_slew")
 
 _PREDICTIONS = get_metrics().counter("estimator.predictions")
 _PRIOR_FALLBACKS = get_metrics().counter("estimator.label_prior_fallbacks")
@@ -137,6 +147,17 @@ def _default_factory(num_node_features: int, num_path_features: int,
     return GNNTrans(num_node_features, num_path_features, config, rng)
 
 
+def _forward_per_call(model: Module) -> Callable[[NetSample], PathForward]:
+    """``bind`` for a model without one: its whole forward on every call.
+
+    The graph baselines need this, because ``baseline_node_inputs``
+    broadcasts the input slew onto every node, so their encoders read it.
+    """
+    def bind(sample: NetSample) -> PathForward:
+        return lambda paths: model(replace(sample, paths=list(paths)))
+    return bind
+
+
 class WireTimingEstimator:
     """Trainable wire slew/delay estimator with a scikit-style API.
 
@@ -226,12 +247,12 @@ class WireTimingEstimator:
         return np.sqrt(np.maximum(slews ** 2 - input_slews ** 2, 0.0))
 
     def _reconstruct_slews(self, predicted: np.ndarray,
-                           sample: NetSample) -> np.ndarray:
+                           paths: Sequence[PathRecord]) -> np.ndarray:
         """Invert :meth:`_slew_targets` back to absolute slew in ps."""
         mode = self.config.slew_parameterization
         if mode == "absolute":
             return predicted
-        input_slews = np.array([p.input_slew_ps for p in sample.paths])
+        input_slews = np.array([p.input_slew_ps for p in paths])
         if mode == "residual":
             return predicted + input_slews
         return np.sqrt(input_slews ** 2 + np.maximum(predicted, 0.0) ** 2)
@@ -245,57 +266,105 @@ class WireTimingEstimator:
         :attr:`provenance_log` under tier ``"label-prior"`` rather than
         propagated or raised.
         """
+        return self.bind_sample(sample)(sample.paths)
+
+    def bind_sample(self, sample: NetSample) -> PathPredictor:
+        """:meth:`predict_sample` split at the input-slew boundary.
+
+        The returned function takes this net's path records at any input
+        slew, as a sample built at that slew holds them, and returns what
+        :meth:`predict_sample` would.  A model with a ``bind`` method
+        (GNNTrans) runs its slew-free half here, once, and the function
+        keeps only what the rest reads, not the sample's graph.  Other
+        models run their whole forward on every call.  When the
+        slew-free half raises, every call degrades to tier
+        ``"label-prior"``, as :meth:`predict_sample` does.
+        """
         self._require_fitted()
-        _PREDICTIONS.inc()
+        net, design = sample.name, sample.design
+        bind = getattr(self.model, "bind", None) \
+            or _forward_per_call(self.model)
+        try:
+            with self._eval_mode():
+                forward = bind(sample)
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except Exception as exc:  # degraded-but-valid beats an aborted run
+            reason = str(ModelError(
+                f"inference failed: {type(exc).__name__}: {exc}",
+                net=net, design=design, stage="predict",
+                tier="label-prior", cause=exc))
+
+            def degraded(paths: Sequence[PathRecord]
+                         ) -> Tuple[np.ndarray, np.ndarray]:
+                _PREDICTIONS.inc()
+                return self._degrade(net, design, paths, reason)
+            return degraded
+        return lambda paths: self._predict_with(forward, net, design, paths)
+
+    @contextlib.contextmanager
+    def _eval_mode(self) -> Iterator[None]:
         # Toggling the mode walks every submodule; skip it when the model
         # is already in eval mode, as it is after fit() and load().
         was_training = self.model.training
         if was_training:
             self.model.eval()
         try:
-            slew, delay = self.model(sample)
-            slew_ps, delay_ps = self.label_scaler.denormalize(slew.data,
-                                                              delay.data)
-            slew_ps = self._reconstruct_slews(slew_ps, sample)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:  # degraded-but-valid beats an aborted run
-            error = ModelError(
-                f"inference failed: {type(exc).__name__}: {exc}",
-                net=sample.name, design=sample.design, stage="predict",
-                tier="label-prior", cause=exc)
-            prior_slew, prior_delay = self._prior_prediction(sample)
-            self._record(sample, "label-prior", str(error))
-            return prior_slew, prior_delay
+            yield
         finally:
             if was_training:
                 self.model.train()
 
+    def _predict_with(self, forward: PathForward, net: str, design: str,
+                      paths: Sequence[PathRecord]
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+        _PREDICTIONS.inc()
+        try:
+            with self._eval_mode():
+                slew, delay = forward(paths)
+            slew_ps, delay_ps = self.label_scaler.denormalize(slew.data,
+                                                              delay.data)
+            slew_ps = self._reconstruct_slews(slew_ps, paths)
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except Exception as exc:  # degraded-but-valid beats an aborted run
+            return self._degrade(net, design, paths, str(ModelError(
+                f"inference failed: {type(exc).__name__}: {exc}",
+                net=net, design=design, stage="predict",
+                tier="label-prior", cause=exc)))
+
         finite = np.isfinite(slew_ps) & np.isfinite(delay_ps)
         if not np.all(finite):
-            prior_slew, prior_delay = self._prior_prediction(sample)
+            prior_slew, prior_delay = self._prior_prediction(paths)
             slew_ps = np.where(finite, slew_ps, prior_slew)
             delay_ps = np.where(finite, delay_ps, prior_delay)
             bad = int(finite.size - np.count_nonzero(finite))
-            self._record(sample, "label-prior",
+            self._record(net, design, "label-prior",
                          f"{bad}/{finite.size} paths non-finite")
         else:
-            self._record(sample, "model")
+            self._record(net, design, "model")
         return slew_ps, delay_ps
 
-    def _prior_prediction(self, sample: NetSample
+    def _degrade(self, net: str, design: str, paths: Sequence[PathRecord],
+                 reason: str) -> Tuple[np.ndarray, np.ndarray]:
+        """Serve ``paths`` from the label prior, recording ``reason``."""
+        prior_slew, prior_delay = self._prior_prediction(paths)
+        self._record(net, design, "label-prior", reason)
+        return prior_slew, prior_delay
+
+    def _prior_prediction(self, paths: Sequence[PathRecord]
                           ) -> Tuple[np.ndarray, np.ndarray]:
         """Training-label prior mean per path — the degraded fallback."""
-        zeros = np.zeros(sample.num_paths)
+        zeros = np.zeros(len(paths))
         slew_ps, delay_ps = self.label_scaler.denormalize(zeros, zeros.copy())
-        slew_ps = self._reconstruct_slews(slew_ps, sample)
+        slew_ps = self._reconstruct_slews(slew_ps, paths)
         # A corrupted sample (NaN input slews) must still yield finite output.
         return (np.nan_to_num(slew_ps, nan=self.label_scaler.slew_mean),
                 np.nan_to_num(delay_ps, nan=self.label_scaler.delay_mean))
 
-    def _record(self, sample: NetSample, tier: str,
+    def _record(self, net: str, design: str, tier: str,
                 reason: Optional[str] = None) -> None:
-        record = PredictionRecord(sample.name, sample.design, tier, reason)
+        record = PredictionRecord(net, design, tier, reason)
         if tier != "model":
             _PRIOR_FALLBACKS.inc()
         self.degradation_counts[tier] = self.degradation_counts.get(tier, 0) + 1
@@ -344,7 +413,7 @@ class WireTimingEstimator:
         delays: List[np.ndarray] = []
         for sample, (slew_ps, delay_ps, tier, reason) in zip(samples, results):
             _PREDICTIONS.inc()
-            self._record(sample, tier, reason)
+            self._record(sample.name, sample.design, tier, reason)
             slews.append(slew_ps)
             delays.append(delay_ps)
         if not slews:
@@ -443,6 +512,21 @@ class LearnedWireModel(WireTimingModel):
                     sink_loads: np.ndarray, drive_resistance: float,
                     context: Optional[NetContext] = None
                     ) -> Tuple[np.ndarray, np.ndarray]:
+        return self.bind(net, sink_loads, drive_resistance,
+                         context)(input_slew)
+
+    def bind(self, net: RCNet, sink_loads: np.ndarray,
+             drive_resistance: float,
+             context: Optional[NetContext] = None) -> WireBinding:
+        """Build, scale and encode the net once; each call re-slews it.
+
+        The net's sample is built and scaled here, and
+        :meth:`WireTimingEstimator.bind_sample` runs the model's slew-free
+        half on it.  Each call writes its input slew into the scaled
+        input-slew path feature and each path's ``input_slew_ps``, then
+        runs only the per-slew half, so it returns bitwise what a sample
+        built at that slew gives.
+        """
         if context is None:
             raise InputError(
                 "LearnedWireModel needs the cell context; run it through "
@@ -450,12 +534,28 @@ class LearnedWireModel(WireTimingModel):
                 stage="predict")
         sample = build_net_sample(net, context, labeled=False)
         sample = self.feature_scaler.transform([sample])[0]
-        slew_ps, delay_ps = self.estimator.predict_sample(sample)
-        if not (np.all(np.isfinite(slew_ps)) and np.all(np.isfinite(delay_ps))):
-            raise ModelError("learned prediction is non-finite",
-                             net=net.name, stage="predict",
-                             tier=self.name)
-        return delay_ps * _PS, slew_ps * _PS
+        predict = self.estimator.bind_sample(sample)
+        paths = sample.paths
+        mean = self.feature_scaler.path_mean[_SLEW_COLUMN]
+        std = self.feature_scaler.path_std[_SLEW_COLUMN]
+
+        def timing(input_slew: float) -> Tuple[np.ndarray, np.ndarray]:
+            input_slew_ps = input_slew / _PS
+            scaled = (input_slew_ps - mean) / std
+            at_slew = []
+            for path in paths:
+                features = path.features.copy()
+                features[_SLEW_COLUMN] = scaled
+                at_slew.append(replace(path, features=features,
+                                       input_slew_ps=input_slew_ps))
+            slew_ps, delay_ps = predict(at_slew)
+            if not (np.all(np.isfinite(slew_ps))
+                    and np.all(np.isfinite(delay_ps))):
+                raise ModelError("learned prediction is non-finite",
+                                 net=net.name, stage="predict",
+                                 tier=self.name)
+            return delay_ps * _PS, slew_ps * _PS
+        return timing
 
     @property
     def last_tier(self) -> Optional[str]:

@@ -15,17 +15,21 @@ Pipeline per RC net:
 The model operates on :class:`~repro.features.NetSample` objects and emits
 predictions in the (standardized) label space; unit handling lives in
 :class:`~repro.core.estimator.WireTimingEstimator`.
+
+Only the path features of step 3 carry the input slew.  :meth:`GNNTrans.bind`
+therefore runs steps 1-3's mean pooling once per net, and each new slew
+pays only for the path-feature join and the heads.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..features.pipeline import NetSample
+from ..features.pipeline import NetSample, PathRecord
 from ..nn.layers import Module
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, concat
 from .config import DEFAULT_CONFIG, GNNTransConfig
 from .gnn_layer import GNNModule
 from .heads import TimingHeads
@@ -72,11 +76,40 @@ class GNNTrans(Module):
         x = self.gnn(x, sample.adjacency)
         return self.transformer(x)
 
+    def pool(self, sample: NetSample) -> Tensor:
+        """Mean final node representation per wire path, ``(P, hidden)``.
+
+        The left half of Eq. 4.  It reads the node features, the adjacency
+        and the path membership, but no path feature, so it does not
+        depend on the input slew.
+        """
+        return pool_paths(self.encode(sample), sample,
+                          include_path_features=False)
+
+    def join_path_features(self, pooled: Tensor,
+                           paths: Sequence[PathRecord]) -> Tensor:
+        """Eq. 4's ``f_q``: ``pooled`` joined with each path's features."""
+        if not self.config.include_path_features:
+            return pooled
+        features = Tensor(np.vstack([p.features for p in paths]))
+        return concat([pooled, features], axis=-1)
+
     def path_representations(self, sample: NetSample) -> Tensor:
         """Wire-path representations ``F = {f_q}`` (Eq. 4)."""
-        nodes = self.encode(sample)
-        return pool_paths(nodes, sample,
-                          include_path_features=self.config.include_path_features)
+        return self.join_path_features(self.pool(sample), sample.paths)
+
+    def bind(self, sample: NetSample
+             ) -> Callable[[Sequence[PathRecord]], Tuple[Tensor, Tensor]]:
+        """:meth:`forward` split at the input-slew boundary.
+
+        Runs :meth:`pool` on ``sample`` once and returns the rest of the
+        forward pass, the path-feature join and the heads, as a function
+        of the net's path records.  Their features, the input slew among
+        them, may differ from ``sample``'s.
+        """
+        pooled = self.pool(sample)
+        return lambda paths: self.heads(
+            self.join_path_features(pooled, paths))
 
     def forward(self, sample: NetSample) -> Tuple[Tensor, Tensor]:
         """Predict ``(slew, delay)`` for every wire path of ``sample``.
@@ -84,7 +117,7 @@ class GNNTrans(Module):
         Both outputs have shape ``(num_paths,)`` in the label space the
         model was trained in.
         """
-        return self.heads(self.path_representations(sample))
+        return self.bind(sample)(sample.paths)
 
     def predict(self, sample: NetSample) -> Tuple[np.ndarray, np.ndarray]:
         """Inference-mode numpy predictions for one net."""

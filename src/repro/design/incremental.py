@@ -16,7 +16,9 @@ cones, so a stale entry can never be returned, only missed, and every hit
 is bitwise identical to a cold :class:`~repro.design.sta.STAEngine` pass.
 The key also carries the resolved timing-arc pin: two paths entering the
 same gate through different arcs at the same slew are distinct stages and
-must never share an entry.
+must never share an entry.  The second memo, of per-net wire bindings, is
+keyed by net and driver cell, depends on neither slew nor pin, and is
+dropped with the stage entries of the same nets.
 """
 
 from __future__ import annotations
@@ -59,7 +61,10 @@ class IncrementalSTAEngine(StageTimer):
         return self.invalidate_nets(stale_nets)
 
     def invalidate_nets(self, net_names: Iterable[str]) -> int:
-        """Drop every cache entry for the named nets; returns the count."""
+        """Drop the named nets' stage entries and net bindings.
+
+        Returns the number of stage entries dropped.
+        """
         stale = set(net_names)
         if not stale:
             return 0
@@ -67,12 +72,15 @@ class IncrementalSTAEngine(StageTimer):
             stale_keys = [key for key in self._cache if key[0] in stale]
             for key in stale_keys:
                 del self._cache[key]
+            for net_key in [k for k in self._nets if k[0] in stale]:
+                del self._nets[net_key]
         return len(stale_keys)
 
     def clear(self) -> None:
-        """Drop the whole cache (e.g. after wholesale edits)."""
+        """Drop both memos (e.g. after wholesale edits)."""
         with self._lock:
             self._cache.clear()
+            self._nets.clear()
 
     def analyze_paths(self, paths: Optional[List[TimingPath]] = None
                       ) -> List[PathTiming]:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +60,11 @@ def resolve_arc_pin(cell: Cell, input_pin: str, *, net: Optional[str] = None,
         net=net, design=design, stage="sta")
 
 
+#: A wire model bound to one net: input slew (s) -> per-sink
+#: ``(delays, slews)`` (s).
+WireBinding = Callable[[float], Tuple[np.ndarray, np.ndarray]]
+
+
 class WireTimingModel(ABC):
     """Interface every wire-delay engine exposes to the STA core."""
 
@@ -73,6 +78,24 @@ class WireTimingModel(ABC):
         ``context`` carries the driving/receiving cells; analytic models
         ignore it, learned models need it for feature extraction.
         """
+
+    def bind(self, net: RCNet, sink_loads: np.ndarray,
+             drive_resistance: float,
+             context: Optional[NetContext] = None) -> WireBinding:
+        """This model's timing of one net, as a function of input slew.
+
+        A model overrides this to do its slew-free work once per net; a
+        call of the binding must return what :meth:`wire_timing` returns
+        at that slew, bitwise.  ``context.input_slew`` is ignored: each
+        call substitutes its own slew.  This default runs
+        :meth:`wire_timing` on every call.
+        """
+        def timing(input_slew: float) -> Tuple[np.ndarray, np.ndarray]:
+            at_slew = None if context is None \
+                else replace(context, input_slew=input_slew)
+            return self.wire_timing(net, input_slew, sink_loads,
+                                    drive_resistance, context=at_slew)
+        return timing
 
     @property
     def name(self) -> str:
@@ -210,7 +233,10 @@ class STAReport:
 
     ``gate_seconds`` and ``wire_seconds`` reproduce the runtime columns of
     Table V: time spent in library lookups/ceff reduction versus in the
-    wire-timing engine.
+    wire-timing engine.  The wire column is the wire model's per-net
+    binding (:meth:`WireTimingModel.bind`, which holds a learned model's
+    feature extraction and encoder) plus its per-slew calls, and any
+    ``prime_nets`` batch.
     """
 
     design: str
@@ -234,24 +260,34 @@ StageKey = Tuple[str, str, str, float]
 #: Stage memo entry: (gate delay, per-sink wire delays, per-sink slews,
 #: wire-model tier that served the stage).
 StageEntry = Tuple[float, np.ndarray, np.ndarray, Optional[str]]
+#: Net memo key: (net, driver cell name), the stage key without the parts
+#: that only the gate lookup and the wire model's slew input read.
+NetKey = Tuple[str, str]
+#: Net memo entry: (effective capacitance, wire-model binding, slew-model
+#: binding or ``None``).
+NetEntry = Tuple[float, WireBinding, Optional[WireBinding]]
 
 
 class StageTimer:
-    """The stage-timing kernel behind every STA engine, with a stage memo.
+    """The stage-timing kernel behind every STA engine, with two memos.
 
-    A stage is timed as effective capacitance -> NLDM gate lookup ->
-    :class:`NetContext` -> ``wire_model.wire_timing`` (plus the optional
+    A stage is timed as effective capacitance -> NLDM gate lookup -> the
+    wire model's timing at the gate's output slew (plus the optional
     ``slew_model``), and the result is memoized under :data:`StageKey`.
     Timing paths share prefixes, so a stage reached by many paths is
-    computed once and replayed on every later visit.  A cold
-    :class:`STAEngine` pass is this kernel run from an empty memo;
-    :class:`~repro.design.incremental.IncrementalSTAEngine` is this kernel
-    with its memo kept across calls.
+    computed once and replayed on every later visit.  A second memo,
+    under :data:`NetKey`, holds each net's slew-free work: its effective
+    capacitance and the models' bindings (:meth:`WireTimingModel.bind`).
+    A stage miss on a net already bound costs one NLDM lookup plus one
+    binding call.  A cold :class:`STAEngine` pass is this kernel run from
+    empty memos; :class:`~repro.design.incremental.IncrementalSTAEngine`
+    is this kernel with its memos kept across calls.
 
     Parameters are those of :class:`STAEngine`, except that pins default
-    to strict.  ``hits`` and ``misses`` count memo lookups, and
-    ``wire_seconds`` is the time spent inside ``wire_model`` computing
-    the missed stages: the wire column of Table V.
+    to strict.  ``hits`` and ``misses`` count stage-memo lookups, and
+    ``wire_seconds`` is the time spent inside ``wire_model`` on the
+    missed stages, its bind calls included: the wire column of Table V.
+    Effective capacitance counts in the gate column.
     """
 
     def __init__(self, netlist: Netlist, wire_model: WireTimingModel,
@@ -268,6 +304,7 @@ class StageTimer:
         # under the lock — stage computation happens outside it.
         self._lock = named_lock("StageTimer._lock")
         self._cache: Dict[StageKey, StageEntry] = {}  # repro-guarded-by: _lock
+        self._nets: Dict[NetKey, NetEntry] = {}  # repro-guarded-by: _lock
         self.hits = 0  # repro-guarded-by: _lock
         self.misses = 0  # repro-guarded-by: _lock
         self.wire_seconds = 0.0  # repro-guarded-by: _lock
@@ -285,22 +322,25 @@ class StageTimer:
                 self.hits += 1
                 return entry
             self.misses += 1
+            bound = self._nets.get(key[:2])
 
         # Computed outside the lock: two threads missing on the same key
         # may both compute it (identical results; last store wins), which
         # beats serializing every wire-timing evaluation.
         net = self.netlist.nets[stage.net]
-        sink_loads = self.netlist.sink_loads(net)
-        drive = gate.cell.drive_resistance
-        load = effective_capacitance(net.rcnet, drive, sink_loads)
+        if bound is None:
+            sink_loads = self.netlist.sink_loads(net)
+            load = effective_capacitance(net.rcnet, gate.cell.drive_resistance,
+                                         sink_loads)
+        else:
+            load = bound[0]
         gate_delay, drive_slew = gate.cell.delay_and_slew(slew, load, pin)
-        context = NetContext(
-            input_slew=drive_slew, drive_cell=gate.cell,
-            load_cells=[self.netlist.gates[l.gate].cell for l in net.loads])
         start = time.perf_counter()
         try:
-            delays, slews = self.wire_model.wire_timing(
-                net.rcnet, drive_slew, sink_loads, drive, context=context)
+            if bound is None:
+                bound = self._bind(key[:2], gate.cell, load, sink_loads,
+                                   drive_slew)
+            delays, slews = bound[1](drive_slew)
         except EstimationError:
             raise  # already typed with provenance
         except (KeyboardInterrupt, SystemExit):
@@ -312,14 +352,28 @@ class StageTimer:
                 design=design, stage="sta", cause=exc) from exc
         wire_seconds = time.perf_counter() - start
         tier = getattr(self.wire_model, "last_tier", None)
-        if self.slew_model is not None:
-            _, slews = self.slew_model.wire_timing(
-                net.rcnet, drive_slew, sink_loads, drive, context=context)
+        if bound[2] is not None:
+            _, slews = bound[2](drive_slew)
         entry = (gate_delay, delays, slews, tier)
         with self._lock:
             self._cache[key] = entry
             self.wire_seconds += wire_seconds
         return entry
+
+    def _bind(self, key: NetKey, cell: Cell, load: float,
+              sink_loads: np.ndarray, drive_slew: float) -> NetEntry:
+        """Bind the models to net ``key[0]`` driven by ``cell``; memoize."""
+        net = self.netlist.nets[key[0]]
+        context = NetContext(
+            input_slew=drive_slew, drive_cell=cell,
+            load_cells=[self.netlist.gates[l.gate].cell for l in net.loads])
+        bind_args = (net.rcnet, sink_loads, cell.drive_resistance, context)
+        bound = (load, self.wire_model.bind(*bind_args),
+                 None if self.slew_model is None
+                 else self.slew_model.bind(*bind_args))
+        with self._lock:
+            self._nets[key] = bound
+        return bound
 
     def path_arrival(self, path: TimingPath) -> PathTiming:
         """Arrival time at the path endpoint, with per-stage breakdown."""

@@ -18,7 +18,7 @@ from .tensor import Tensor
 
 
 class Parameter(Tensor):
-    """A tensor that is always trainable.
+    """A trainable tensor: it requires grad while its module trains.
 
     Kept as a distinct type so :meth:`Module.parameters` can find trainable
     leaves by ``isinstance`` without inspecting graph internals.
@@ -33,6 +33,11 @@ class Module:
 
     Subclasses assign :class:`Parameter` and :class:`Module` instances as
     attributes; :meth:`parameters` walks the attribute tree recursively.
+
+    :meth:`eval` also clears ``requires_grad`` on every parameter, so an
+    eval-mode forward records no autograd tape: its outputs have no
+    parents and no backward closures.  :meth:`train` turns gradients back
+    on; :class:`~repro.nn.trainer.Trainer` calls it at every epoch.
     """
 
     def __init__(self) -> None:
@@ -88,7 +93,9 @@ class Module:
             self._propagate_training(value, flag)
 
     def _propagate_training(self, value, flag: bool) -> None:
-        if isinstance(value, Module):
+        if isinstance(value, Parameter):
+            value.requires_grad = flag
+        elif isinstance(value, Module):
             value._set_training(flag)
         elif isinstance(value, (list, tuple)):
             for item in value:

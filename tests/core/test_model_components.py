@@ -219,6 +219,41 @@ class TestFullModel:
         reps = model.path_representations(sample)
         assert reps.shape == (sample.num_paths, 16 + 10)
 
+    def test_eval_forward_records_no_tape(self, sample):
+        from repro.core import GNNTransConfig
+
+        model = GNNTrans(8, 10, GNNTransConfig(l1=2, l2=1, hidden=16,
+                                               num_heads=2))
+        taped_slew, taped_delay = model(sample)
+        model.eval()
+        slew, delay = model(sample)
+        for out in (slew, delay):
+            assert not out.requires_grad
+            assert out._parents == ()
+        np.testing.assert_array_equal(slew.data, taped_slew.data)
+        np.testing.assert_array_equal(delay.data, taped_delay.data)
+        model.train()
+        slew, delay = model(sample)
+        ((slew * slew).sum() + (delay * delay).sum()).backward()
+        assert all(p.grad is not None for p in model.parameters())
+
+    def test_bind_is_forward_at_any_path_features(self, sample):
+        from dataclasses import replace
+
+        from repro.core import GNNTransConfig
+
+        model = GNNTrans(8, 10, GNNTransConfig(l1=2, l2=1, hidden=16,
+                                               num_heads=2)).eval()
+        heads = model.bind(sample)
+        for shift in (0.5, -1.0, 0.0):
+            other = replace(sample, paths=[
+                replace(p, features=p.features + shift)
+                for p in sample.paths])
+            expected = model(other)
+            got = heads(other.paths)
+            np.testing.assert_array_equal(got[0].data, expected[0].data)
+            np.testing.assert_array_equal(got[1].data, expected[1].data)
+
 
 class TestPaperDepthConfigs:
     """The full-depth paper plans (L1+L2 = 30 layers) must run end to end

@@ -27,6 +27,22 @@ def library():
     return make_default_library()
 
 
+@pytest.fixture(scope="module")
+def learned():
+    """A small fitted ``LearnedWireModel`` (GNNTrans, 2 epochs)."""
+    from repro.core import (GNNTransConfig, LearnedWireModel,
+                            WireTimingEstimator)
+    from repro.data import generate_dataset
+
+    dataset = generate_dataset(train_names=["PCI_BRIDGE"],
+                               test_names=["WB_DMA"], scale=2000,
+                               nets_per_design=6, seed=11)
+    estimator = WireTimingEstimator(GNNTransConfig(
+        l1=1, l2=1, hidden=8, num_heads=2, head_hidden=(16,), epochs=2))
+    estimator.fit(dataset.train, epochs=2)
+    return LearnedWireModel(estimator, dataset.scaler)
+
+
 @pytest.fixture
 def design(library):
     return generate_design(
@@ -414,30 +430,42 @@ def _random_edit(netlist, library, rng):
     return netlist.reconnect_sink(net_name, sink, str(rng.choice(pins)))
 
 
+def _random_script_parity(library, seed, wire_model):
+    """Apply 8 random edits through ECO; return the parity problems."""
+    rng = np.random.default_rng(seed)
+    netlist = generate_design(
+        DesignSpec(f"eco_prop{seed}", n_combinational=24, n_ffs=4,
+                   n_paths=6, seed=50 + seed), library)
+    engine = ECOTimingEngine(netlist, wire_model)
+    engine.full_pass()
+    applied = 0
+    for _ in range(60):
+        if applied == 8:
+            break
+        try:
+            edit = _random_edit(netlist, library, rng)
+        except InputError:
+            continue  # e.g. resize target lacking the drawn arcs
+        engine.apply(edit)
+        applied += 1
+    assert applied == 8
+    return engine.verify_parity()
+
+
 class TestParityContract:
     """Property: random edit scripts preserve bitwise parity with a cold
     full pass — arrivals, totals, and per-stage breakdowns."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_edit_script_is_bitwise_identical(self, library, seed):
-        rng = np.random.default_rng(seed)
-        netlist = generate_design(
-            DesignSpec(f"eco_prop{seed}", n_combinational=24, n_ffs=4,
-                       n_paths=6, seed=50 + seed), library)
-        engine = ECOTimingEngine(netlist, ElmoreWireModel())
-        engine.full_pass()
-        applied = 0
-        for _ in range(60):
-            if applied == 8:
-                break
-            try:
-                edit = _random_edit(netlist, library, rng)
-            except InputError:
-                continue  # e.g. resize target lacking the drawn arcs
-            engine.apply(edit)
-            applied += 1
-        assert applied == 8
-        assert engine.verify_parity() == []
+        assert _random_script_parity(library, seed, ElmoreWireModel()) == []
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_learned_random_edit_script_is_bitwise_identical(
+            self, library, learned, seed):
+        """The learned model's per-net bindings are dropped with the
+        edited nets, so replay still equals a cold pass bitwise."""
+        assert _random_script_parity(library, seed, learned) == []
 
     def test_parity_holds_after_every_single_edit(self, library):
         netlist = _two_arc_netlist(library)

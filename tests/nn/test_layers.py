@@ -149,6 +149,37 @@ class TestModuleStateDict:
         assert all(p.grad is None for p in model.parameters())
 
 
+class TestEvalModeRecordsNoTape:
+    """An eval-mode forward builds no autograd graph; train() restores it."""
+
+    def _model(self, rng):
+        return Sequential(Linear(3, 4, rng), LayerNorm(4), MLP(4, [5], 1, rng))
+
+    def test_eval_forward_has_no_parents(self, rng):
+        model = self._model(rng)
+        model.eval()
+        out = model(Tensor(np.ones((2, 3))))
+        assert not out.requires_grad
+        assert out._parents == ()
+        assert out._backward_fn is None
+        assert not any(p.requires_grad for p in model.parameters())
+
+    def test_eval_forward_values_match_train_mode(self, rng):
+        model = self._model(rng)
+        x = Tensor(rng.normal(size=(2, 3)))
+        taped = model(x).data.copy()
+        model.eval()
+        np.testing.assert_array_equal(model(x).data, taped)
+
+    def test_train_restores_backward_to_every_parameter(self, rng):
+        model = self._model(rng)
+        model.eval()
+        model.train()
+        (model(Tensor(np.ones((2, 3)))) ** 2).sum().backward()
+        assert all(p.requires_grad for p in model.parameters())
+        assert all(p.grad is not None for p in model.parameters())
+
+
 class TestSequential:
     def test_applies_in_order(self, rng):
         seq = Sequential(Linear(2, 4, rng), Linear(4, 1, rng))

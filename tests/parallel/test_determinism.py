@@ -10,7 +10,8 @@ from worker identity or scheduling order.
 import numpy as np
 import pytest
 
-from repro.core import GNNTransConfig, WireTimingEstimator
+from repro.core import (GNNTransConfig, LearnedWireModel,
+                        WireTimingEstimator)
 from repro.data import generate_dataset
 from repro.design import (DesignSpec, ElmoreWireModel, STAEngine,
                           generate_design)
@@ -86,8 +87,25 @@ class TestSTAJobsInvariance:
                        seed=5), library)
         serial = STAEngine(design, ElmoreWireModel()).analyze_design(jobs=1)
         pooled = STAEngine(design, ElmoreWireModel()).analyze_design(jobs=3)
-        np.testing.assert_array_equal(serial.arrivals(), pooled.arrivals())
-        for a, b in zip(serial.paths, pooled.paths):
-            assert a.path_name == b.path_name
-            assert a.arrival == b.arrival
-            assert [s.tier for s in a.stages] == [s.tier for s in b.stages]
+        _assert_sta_equal(serial, pooled)
+
+    def test_learned_arrivals_and_tiers_identical(self):
+        dataset = generate_dataset(n_jobs=1, **DATASET_KW)
+        estimator = WireTimingEstimator(TINY)
+        estimator.fit(dataset.train, epochs=TINY.epochs, verbose=False)
+        model = LearnedWireModel(estimator, dataset.scaler)
+        design = generate_design(
+            DesignSpec("par_learned", n_combinational=30, n_ffs=4,
+                       n_paths=8, seed=5), make_default_library())
+        serial = STAEngine(design, model).analyze_design(jobs=1)
+        pooled = STAEngine(design, model).analyze_design(jobs=2)
+        _assert_sta_equal(serial, pooled)
+        assert {s.tier for p in serial.paths for s in p.stages} == {"model"}
+
+
+def _assert_sta_equal(serial, pooled):
+    np.testing.assert_array_equal(serial.arrivals(), pooled.arrivals())
+    for a, b in zip(serial.paths, pooled.paths):
+        assert a.path_name == b.path_name
+        assert a.arrival == b.arrival
+        assert [s.tier for s in a.stages] == [s.tier for s in b.stages]

@@ -13,7 +13,8 @@ import pytest
 
 from repro import cli
 from repro.core import LearnedWireModel
-from repro.design import GoldenWireModel, STAEngine, generate_benchmark
+from repro.design import (ECOTimingEngine, GoldenWireModel, STAEngine,
+                          generate_benchmark)
 from repro.liberty import make_default_library
 from repro.rcnet import SPEFError, chain_net, parse_spef, write_spef
 from repro.robustness import LAST_RESORT_TIER, FallbackChain, \
@@ -86,6 +87,43 @@ class TestNaNWeights:
     def test_healthy_estimator_reports_model_tier(self, fitted, dataset):
         fitted.predict_sample(dataset.test[0])
         assert fitted.last_tier == "model"
+
+
+class TestRaisingEncoder:
+    """An encoder that raises (here a GNN weight of the wrong shape) fails
+    in the learned model's per-net binding, not in a per-slew call; every
+    stage must still be served from the label prior."""
+
+    @pytest.fixture
+    def broken(self, fitted):
+        estimator = copy.deepcopy(fitted)
+        estimator.model.gnn.layers[0].w_self.weight.data = np.zeros((3, 3))
+        return estimator
+
+    @staticmethod
+    def _assert_label_prior(paths):
+        assert np.all(np.isfinite([p.arrival for p in paths]))
+        assert {s.tier for p in paths for s in p.stages} == {"label-prior"}
+
+    def test_cold_sta_serves_label_prior(self, broken, dataset):
+        netlist = generate_benchmark("WB_DMA", make_default_library(),
+                                     scale=2000)
+        report = STAEngine(netlist, LearnedWireModel(
+            broken, dataset.scaler)).analyze_design()
+        self._assert_label_prior(report.paths)
+
+    def test_eco_edits_serve_label_prior(self, broken, dataset):
+        netlist = generate_benchmark("WB_DMA", make_default_library(),
+                                     scale=2000)
+        eco = ECOTimingEngine(netlist,
+                              LearnedWireModel(broken, dataset.scaler))
+        eco.full_pass()
+        nets = sorted({s.net for p in netlist.paths for s in p.stages})
+        for name in nets[:4]:
+            eco.apply(netlist.scale_net_rc(name, r_factor=1.3,
+                                           c_factor=0.8))
+        self._assert_label_prior(eco.results)
+        assert eco.verify_parity() == []
 
 
 class TestSingularMNA:
