@@ -21,12 +21,12 @@ import pytest
 
 from conftest import BENCH_CONFIG, BENCH_EPOCHS, emit
 from repro.baselines import GraphSageBackbone
-from repro.baselines.common import GraphBaseline, baseline_node_inputs
 from repro.bench import format_table
 from repro.core import GNNTransConfig, WireTimingEstimator
 from repro.core.heads import TimingHeads
 from repro.core.pooling import pool_paths
 from repro.data import train_val_split
+from repro.features import pack
 from repro.nn import Tensor
 from repro.nn.layers import Module
 
@@ -43,10 +43,14 @@ class MeanOnlyBaseline(Module):
         self.heads = TimingHeads(config.hidden, config.head_hidden, rng,
                                  condition_delay_on_slew=False)
 
-    def forward(self, sample):
-        x = Tensor(baseline_node_inputs(sample))
-        nodes = self.backbone(x, sample.adjacency)
-        reps = pool_paths(nodes, sample, include_path_features=False,
+    def pack(self, samples):
+        return pack(samples, node_inputs=self.backbone.node_inputs,
+                    adjacency=self.backbone.operator)
+
+    def forward(self, batch):
+        nodes = self.backbone.encode(Tensor(batch.node_features),
+                                     batch.adjacency, batch.node_mask)
+        reps = pool_paths(nodes, batch, include_path_features=False,
                           extensive=False)
         return self.heads(reps)
 

@@ -15,13 +15,13 @@ delay, receiver ceff, ...) remain exclusive to GNNTrans per Eq. (4).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.heads import TimingHeads
 from ..core.pooling import pool_paths
-from ..features.pipeline import NetSample
+from ..features.pipeline import NetBatch, NetSample, pack
 from ..nn.layers import Module
 from ..nn.tensor import Tensor
 
@@ -63,11 +63,39 @@ def symmetric_normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
     return binary * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
+class Backbone(Module):
+    """A baseline's node encoder over packs of nets.
+
+    :meth:`node_inputs` and :meth:`operator` run on each net's own arrays
+    before :func:`~repro.features.pipeline.pack` pads them; :meth:`encode`
+    runs on the pack.  :meth:`forward` encodes one net from its raw
+    adjacency.
+    """
+
+    def node_inputs(self, sample: NetSample) -> np.ndarray:
+        """One net's (N, F) node inputs."""
+        return baseline_node_inputs(sample)
+
+    def operator(self, adjacency: np.ndarray) -> np.ndarray:
+        """One net's (N, N) propagation operator from its raw adjacency."""
+        return adjacency
+
+    def encode(self, x: Tensor, operator: np.ndarray,
+               node_mask: Optional[np.ndarray]) -> Tensor:
+        """Node representations (B, N, hidden) of a pack's node inputs."""
+        raise NotImplementedError
+
+    def forward(self, x: Tensor, adjacency: np.ndarray) -> Tensor:
+        """``x``: one net's (N, F) node inputs; ``adjacency``: its raw
+        (N, N) adjacency."""
+        return self.encode(x, self.operator(adjacency), None)
+
+
 class GraphBaseline(Module):
     """Backbone + mean ‖ sum ‖ sink path pooling + independent heads.
 
-    ``backbone`` must map ``(x: Tensor (N, d), adjacency: np.ndarray)`` to
-    node representations ``(N, hidden)``.  Pooling concatenates the mean,
+    ``backbone`` is a :class:`Backbone`: it maps a pack's node inputs to
+    node representations ``(B, N, hidden)``.  Pooling concatenates the mean,
     the sum and the sink node's representation over the path: the sum term
     restores extensivity (total path resistance grows with stage count)
     and the sink term restores per-path identity, without which no pooled
@@ -75,7 +103,7 @@ class GraphBaseline(Module):
     per-path features remain GNNTrans-only.
     """
 
-    def __init__(self, backbone: Module, hidden: int,
+    def __init__(self, backbone: Backbone, hidden: int,
                  rng: np.random.Generator,
                  head_hidden: Sequence[int] = (64, 32)) -> None:
         super().__init__()
@@ -86,10 +114,19 @@ class GraphBaseline(Module):
         self.heads = TimingHeads(3 * hidden, head_hidden, rng,
                                  condition_delay_on_slew=False)
 
-    def forward(self, sample: NetSample) -> Tuple[Tensor, Tensor]:
-        x = Tensor(baseline_node_inputs(sample))
-        nodes = self.backbone(x, sample.adjacency)
-        representations = pool_paths(nodes, sample,
+    def pack(self, samples: Sequence[NetSample]) -> NetBatch:
+        return pack(samples, node_inputs=self.backbone.node_inputs,
+                    adjacency=self.backbone.operator)
+
+    def forward(self, batch: Union[NetBatch, NetSample]
+                ) -> Tuple[Tensor, Tensor]:
+        """``(slew, delay)`` of every path of the pack, each (B, P); a
+        bare sample runs as a pack of one."""
+        if isinstance(batch, NetSample):
+            batch = self.pack([batch])
+        nodes = self.backbone.encode(Tensor(batch.node_features),
+                                     batch.adjacency, batch.node_mask)
+        representations = pool_paths(nodes, batch,
                                      include_path_features=False,
                                      extensive=True)
         return self.heads(representations)

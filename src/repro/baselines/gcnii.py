@@ -16,13 +16,13 @@ Propagation uses the symmetric-normalized GCN operator.
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import Optional
 
 import numpy as np
 
 from ..nn.layers import Linear, Module
 from ..nn.tensor import Tensor, matmul_const
-from .common import symmetric_normalized_adjacency
+from .common import Backbone, symmetric_normalized_adjacency
 
 
 class GCNIILayer(Module):
@@ -46,7 +46,7 @@ class GCNIILayer(Module):
         return out.relu()
 
 
-class GCNIIBackbone(Module):
+class GCNIIBackbone(Backbone):
     """Input projection followed by L GCNII layers."""
 
     def __init__(self, in_features: int, hidden: int, num_layers: int,
@@ -59,8 +59,11 @@ class GCNIIBackbone(Module):
         self.layers = [GCNIILayer(hidden, layer_index, rng, alpha, lam)
                        for layer_index in range(1, num_layers + 1)]
 
-    def forward(self, x: Tensor, adjacency: np.ndarray) -> Tensor:
-        propagation = symmetric_normalized_adjacency(adjacency)
+    def operator(self, adjacency: np.ndarray) -> np.ndarray:
+        return symmetric_normalized_adjacency(adjacency)
+
+    def encode(self, x: Tensor, propagation: np.ndarray,
+               node_mask: Optional[np.ndarray]) -> Tensor:
         x0 = self.input_proj(x).relu()
         x = x0
         for layer in self.layers:

@@ -11,12 +11,16 @@ attention: structure only enters through the positional encoding.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..core.transformer_layer import MultiHeadSelfAttention
-from ..nn.layers import Linear, Module
+from ..features.pipeline import NetSample
+from ..nn.layers import Linear
 from ..nn.tensor import Tensor, concat
 from ..robustness.guards import guarded_eigh
+from .common import Backbone
 
 
 def laplacian_positional_encoding(adjacency: np.ndarray, dim: int) -> np.ndarray:
@@ -39,8 +43,13 @@ def laplacian_positional_encoding(adjacency: np.ndarray, dim: int) -> np.ndarray
     return encoding
 
 
-class GraphTransformerBackbone(Module):
-    """Input projection + positional encoding + L attention layers."""
+class GraphTransformerBackbone(Backbone):
+    """Input projection + positional encoding + L attention layers.
+
+    The encoding is a per-net input: an eigendecomposition of a padded
+    graph would give other eigenvectors, so :meth:`node_inputs` appends
+    it before packing.
+    """
 
     def __init__(self, in_features: int, hidden: int, num_layers: int,
                  rng: np.random.Generator, num_heads: int = 4,
@@ -53,10 +62,19 @@ class GraphTransformerBackbone(Module):
         self.layers = [MultiHeadSelfAttention(hidden, num_heads, rng)
                        for _ in range(num_layers)]
 
-    def forward(self, x: Tensor, adjacency: np.ndarray) -> Tensor:
-        encoding = laplacian_positional_encoding(adjacency, self.pos_dim)
-        x = concat([x, Tensor(encoding)], axis=-1)
+    def node_inputs(self, sample: NetSample) -> np.ndarray:
+        return np.hstack([super().node_inputs(sample),
+                          laplacian_positional_encoding(sample.adjacency,
+                                                        self.pos_dim)])
+
+    def encode(self, x: Tensor, operator: np.ndarray,
+               node_mask: Optional[np.ndarray]) -> Tensor:
         x = self.input_proj(x)
         for layer in self.layers:
-            x = layer(x)
+            x = layer(x, node_mask)
         return x
+
+    def forward(self, x: Tensor, adjacency: np.ndarray) -> Tensor:
+        encoding = laplacian_positional_encoding(adjacency, self.pos_dim)
+        return self.encode(concat([x, Tensor(encoding)], axis=-1),
+                           adjacency, None)

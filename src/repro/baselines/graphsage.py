@@ -9,11 +9,13 @@ module, which isolates the value of resistance-weighted aggregation.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..nn.layers import Linear, Module
 from ..nn.tensor import Tensor, matmul_const
-from .common import binary_adjacency
+from .common import Backbone, binary_adjacency
 
 
 class SageLayer(Module):
@@ -35,7 +37,7 @@ class SageLayer(Module):
         return out
 
 
-class GraphSageBackbone(Module):
+class GraphSageBackbone(Backbone):
     """Stack of mean-aggregation Sage layers (search depth L)."""
 
     def __init__(self, in_features: int, hidden: int, num_layers: int,
@@ -47,8 +49,11 @@ class GraphSageBackbone(Module):
         self.layers = [SageLayer(dims[i], dims[i + 1], rng)
                        for i in range(num_layers)]
 
-    def forward(self, x: Tensor, adjacency: np.ndarray) -> Tensor:
-        mean_adjacency = binary_adjacency(adjacency, row_normalize=True)
+    def operator(self, adjacency: np.ndarray) -> np.ndarray:
+        return binary_adjacency(adjacency, row_normalize=True)
+
+    def encode(self, x: Tensor, operator: np.ndarray,
+               node_mask: Optional[np.ndarray]) -> Tensor:
         for layer in self.layers:
-            x = layer(x, mean_adjacency)
+            x = layer(x, operator)
         return x

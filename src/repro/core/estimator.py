@@ -1,6 +1,6 @@
 """High-level wire-timing estimation API.
 
-:class:`WireTimingEstimator` wraps any per-net model (GNNTrans by default,
+:class:`WireTimingEstimator` wraps any packed model (GNNTrans by default,
 the graph baselines via ``model_factory``) with everything the experiments
 need: label standardization, the training loop, R^2 / max-error evaluation,
 persistence, and an adapter (:class:`LearnedWireModel`) that plugs the
@@ -13,8 +13,8 @@ from __future__ import annotations
 import contextlib
 import time
 from dataclasses import dataclass, replace
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from ..features.path_features import PATH_FEATURE_NAMES, NetContext
 from ..features.pipeline import (FeatureScaler, NetSample, PathRecord,
                                  build_net_sample)
 from ..nn.layers import Module
-from ..nn.loss import mse_loss
 from ..nn.metrics import max_abs_error, r2_score
 from ..nn.optim import Adam
 from ..nn.tensor import Tensor
@@ -41,11 +40,14 @@ _PS = 1e-12
 _MAX_PROVENANCE_RECORDS = 4096
 
 ModelFactory = Callable[[int, int, GNNTransConfig, np.random.Generator], Module]
-#: A model's per-call half from ``bind``: path records -> (slew, delay).
+#: A model's per-call half from ``bind``: one net's path records ->
+#: (slew, delay), each (1, P) as from a pack of one.
 PathForward = Callable[[Sequence[PathRecord]], Tuple[Tensor, Tensor]]
 #: Per-path ``(slew_ps, delay_ps)`` of one net from its path records, from
 #: :meth:`WireTimingEstimator.bind_sample`.
 PathPredictor = Callable[[Sequence[PathRecord]], Tuple[np.ndarray, np.ndarray]]
+#: One net's ``(slew_ps, delay_ps, tier, reason)`` from a pack.
+_NetPrediction = Tuple[np.ndarray, np.ndarray, str, Optional[str]]
 
 _SLEW_COLUMN = PATH_FEATURE_NAMES.index("input_slew")
 
@@ -147,6 +149,35 @@ def _default_factory(num_node_features: int, num_path_features: int,
     return GNNTrans(num_node_features, num_path_features, config, rng)
 
 
+class _Target(NamedTuple):
+    """A training sample with its normalized slew and delay targets."""
+
+    sample: NetSample
+    slew: np.ndarray
+    delay: np.ndarray
+
+
+def _packed_mse(model: Module, targets: Sequence[_Target]) -> Tensor:
+    """Mean over the minibatch's nets of each net's slew plus delay MSE.
+
+    One forward pass over the packed nets; each real path is weighted
+    ``1 / (B * P_net)`` and each padded one 0.
+    """
+    batch = model.pack([t.sample for t in targets])
+    slew_pred, delay_pred = model(batch)
+    slew_t, delay_t, weight = (np.zeros(batch.path_mask.shape)
+                               for _ in range(3))
+    for b, target in enumerate(targets):
+        paths = len(target.slew)
+        slew_t[b, :paths] = target.slew
+        delay_t[b, :paths] = target.delay
+        weight[b, :paths] = 1.0 / (len(targets) * paths)
+    slew_err = slew_pred - Tensor(slew_t)
+    delay_err = delay_pred - Tensor(delay_t)
+    return ((slew_err * slew_err + delay_err * delay_err)
+            * Tensor(weight)).sum()
+
+
 def _forward_per_call(model: Module) -> Callable[[NetSample], PathForward]:
     """``bind`` for a model without one: its whole forward on every call.
 
@@ -166,9 +197,11 @@ class WireTimingEstimator:
     config:
         Hyper-parameters (defaults to the scaled PlanB).
     model_factory:
-        Alternative per-net model constructor; every graph baseline in
+        Alternative model constructor; every graph baseline in
         :mod:`repro.baselines` plugs in through this hook, so all models
-        share identical training and evaluation machinery.
+        share identical training and evaluation machinery.  A model
+        provides ``pack(samples) -> NetBatch`` and a forward pass over
+        that pack returning (B, P) ``(slew, delay)``.
     """
 
     def __init__(self, config: GNNTransConfig = DEFAULT_CONFIG,
@@ -209,32 +242,32 @@ class WireTimingEstimator:
             [p.label_delay for s in fit_pool for p in s.paths])
         self.label_scaler.fit_values(all_slews, all_delays)
 
-        scaler = self.label_scaler
-        slew_targets = self._slew_targets
-
-        def loss_fn(model: Module, sample: NetSample) -> Tensor:
-            slew_pred, delay_pred = model(sample)
-            slews = slew_targets(sample)
-            _, delays = sample.labels()
-            slew_t, delay_t = scaler.normalize(slews, delays)
-            return (mse_loss(slew_pred, Tensor(slew_t))
-                    + mse_loss(delay_pred, Tensor(delay_t)))
-
         optimizer = Adam(self.model.parameters(), lr=self.config.learning_rate)
-        trainer = Trainer(self.model, optimizer, loss_fn,
+        trainer = Trainer(self.model, optimizer, _packed_mse,
                           grad_clip=self.config.grad_clip,
                           rng=np.random.default_rng(self.config.seed + 1))
         with get_tracer().span("estimator.fit",
                                samples=len(train_samples)) as span:
             self.history = trainer.fit(
-                list(train_samples), epochs=epochs or self.config.epochs,
+                self._targets(train_samples),
+                epochs=epochs or self.config.epochs,
                 batch_size=self.config.batch_size,
-                val_samples=list(val_samples) if val_samples else None,
+                val_samples=self._targets(val_samples) if val_samples
+                else None,
                 patience=patience, verbose=verbose)
             span.set(epochs_run=len(self.history))
         return self.history
 
     # ------------------------------------------------------------------
+    def _targets(self, samples: Sequence[NetSample]) -> List[_Target]:
+        """Each sample with its normalized training targets, once per fit."""
+        targets = []
+        for sample in samples:
+            _, delays = sample.labels()
+            targets.append(_Target(sample, *self.label_scaler.normalize(
+                self._slew_targets(sample), delays)))
+        return targets
+
     def _slew_targets(self, sample: NetSample) -> np.ndarray:
         """Training target for the slew head, per the parameterization."""
         slews = np.array([p.label_slew for p in sample.paths])
@@ -273,11 +306,11 @@ class WireTimingEstimator:
 
         The returned function takes this net's path records at any input
         slew, as a sample built at that slew holds them, and returns what
-        :meth:`predict_sample` would.  A model with a ``bind`` method
-        (GNNTrans) runs its slew-free half here, once, and the function
-        keeps only what the rest reads, not the sample's graph.  Other
-        models run their whole forward on every call.  When the
-        slew-free half raises, every call degrades to tier
+        :meth:`predict_sample` would.  The net runs as a pack of one.  A
+        model with a ``bind`` method (GNNTrans) runs its slew-free half
+        here, once, and the function keeps only what the rest reads, not
+        the sample's graph.  Other models run their whole forward on every
+        call.  When the slew-free half raises, every call degrades to tier
         ``"label-prior"``, as :meth:`predict_sample` does.
         """
         self._require_fitted()
@@ -322,9 +355,8 @@ class WireTimingEstimator:
         try:
             with self._eval_mode():
                 slew, delay = forward(paths)
-            slew_ps, delay_ps = self.label_scaler.denormalize(slew.data,
-                                                              delay.data)
-            slew_ps = self._reconstruct_slews(slew_ps, paths)
+            slew_ps, delay_ps, tier, reason = self._outputs(
+                slew.data[0], delay.data[0], paths)
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:  # degraded-but-valid beats an aborted run
@@ -332,18 +364,23 @@ class WireTimingEstimator:
                 f"inference failed: {type(exc).__name__}: {exc}",
                 net=net, design=design, stage="predict",
                 tier="label-prior", cause=exc)))
-
-        finite = np.isfinite(slew_ps) & np.isfinite(delay_ps)
-        if not np.all(finite):
-            prior_slew, prior_delay = self._prior_prediction(paths)
-            slew_ps = np.where(finite, slew_ps, prior_slew)
-            delay_ps = np.where(finite, delay_ps, prior_delay)
-            bad = int(finite.size - np.count_nonzero(finite))
-            self._record(net, design, "label-prior",
-                         f"{bad}/{finite.size} paths non-finite")
-        else:
-            self._record(net, design, "model")
+        self._record(net, design, tier, reason)
         return slew_ps, delay_ps
+
+    def _outputs(self, slew: np.ndarray, delay: np.ndarray,
+                 paths: Sequence[PathRecord]) -> _NetPrediction:
+        """One net's model output in ps, with non-finite paths replaced by
+        the label prior, and the tier and reason to record."""
+        slew_ps, delay_ps = self.label_scaler.denormalize(slew, delay)
+        slew_ps = self._reconstruct_slews(slew_ps, paths)
+        finite = np.isfinite(slew_ps) & np.isfinite(delay_ps)
+        if np.all(finite):
+            return slew_ps, delay_ps, "model", None
+        prior_slew, prior_delay = self._prior_prediction(paths)
+        bad = int(finite.size - np.count_nonzero(finite))
+        return (np.where(finite, slew_ps, prior_slew),
+                np.where(finite, delay_ps, prior_delay), "label-prior",
+                f"{bad}/{finite.size} paths non-finite")
 
     def _degrade(self, net: str, design: str, paths: Sequence[PathRecord],
                  reason: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -373,45 +410,67 @@ class WireTimingEstimator:
             del self.provenance_log[:-_MAX_PROVENANCE_RECORDS]
         self.last_record = record
 
+    def _predict_pack(self, samples: Sequence[NetSample]
+                      ) -> List[_NetPrediction]:
+        """Predict one pack of nets in one forward pass.
+
+        When the pack raises, each net is re-run as a pack of one, so a
+        failure degrades only its own net, under its own provenance.
+        """
+        try:
+            with self._eval_mode():
+                slew, delay = self.model(self.model.pack(samples))
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except Exception as exc:  # degraded-but-valid beats an aborted run
+            if len(samples) > 1:
+                return [out for sample in samples
+                        for out in self._predict_pack([sample])]
+            sample = samples[0]
+            return [self._prior_prediction(sample.paths) + (
+                "label-prior", str(ModelError(
+                    f"inference failed: {type(exc).__name__}: {exc}",
+                    net=sample.name, design=sample.design, stage="predict",
+                    tier="label-prior", cause=exc)))]
+        return [self._outputs(slew.data[b, :sample.num_paths],
+                              delay.data[b, :sample.num_paths], sample.paths)
+                for b, sample in enumerate(samples)]
+
+    def _pack_plan(self, samples: Sequence[NetSample]) -> List[List[int]]:
+        """Sample indices per pack: stable by node count, so a pack's nets
+        pad little, cut into ``config.batch_size`` nets each."""
+        order = sorted(range(len(samples)),
+                       key=lambda i: samples[i].num_nodes)
+        size = self.config.batch_size
+        return [order[i:i + size] for i in range(0, len(order), size)]
+
     def predict(self, samples: Sequence[NetSample], jobs: int = 1
                 ) -> Tuple[np.ndarray, np.ndarray]:
         """Concatenated per-path predictions over many nets, in ps.
 
-        ``jobs > 1`` fans the per-net inference across worker processes
-        (the fitted estimator ships to each worker once, via the pool
-        initializer); results and provenance records come back in sample
-        order, so the output is identical to the serial path.
+        Nets run in packs of ``config.batch_size`` (see
+        :meth:`_pack_plan`).  ``jobs > 1`` hands the same packs to worker
+        processes (the fitted estimator ships to each worker once, via the
+        pool initializer), so the output does not depend on ``jobs``.
+        Results and provenance records come back in sample order.
         """
         self._require_fitted()
         samples = list(samples)
+        plan = self._pack_plan(samples)
+        packs = [[samples[i] for i in indices] for indices in plan]
         if jobs is None or jobs != 1:
-            return self._predict_parallel(samples, jobs)
+            results = parallel_map(_predict_worker, packs, jobs=jobs,
+                                   initializer=_init_predict_worker,
+                                   initargs=(self,), label="predict")
+        else:
+            results = [self._predict_pack(p) for p in packs]
+        by_sample: Dict[int, _NetPrediction] = {}
+        for indices, outputs in zip(plan, results):
+            by_sample.update(zip(indices, outputs))
         slews: List[np.ndarray] = []
         delays: List[np.ndarray] = []
-        for sample in samples:
-            s, d = self.predict_sample(sample)
-            slews.append(s)
-            delays.append(d)
-        if not slews:
-            return np.zeros(0), np.zeros(0)
-        return np.concatenate(slews), np.concatenate(delays)
-
-    def _predict_parallel(self, samples: List[NetSample], jobs: int
-                          ) -> Tuple[np.ndarray, np.ndarray]:
-        """Worker-pool prediction path; merges provenance in the parent.
-
-        Worker processes own separate metric registries and estimator
-        copies, so each returned tuple carries the tier/reason of its
-        prediction and the parent replays them through :meth:`_record` —
-        counters and ``provenance_log`` end up as the serial path leaves
-        them.
-        """
-        results = parallel_map(_predict_worker, samples, jobs=jobs,
-                               initializer=_init_predict_worker,
-                               initargs=(self,), label="predict")
-        slews: List[np.ndarray] = []
-        delays: List[np.ndarray] = []
-        for sample, (slew_ps, delay_ps, tier, reason) in zip(samples, results):
+        for i, sample in enumerate(samples):
+            slew_ps, delay_ps, tier, reason = by_sample[i]
             _PREDICTIONS.inc()
             self._record(sample.name, sample.design, tier, reason)
             slews.append(slew_ps)
@@ -438,12 +497,11 @@ class WireTimingEstimator:
 
     def throughput(self, samples: Sequence[NetSample],
                    repeats: int = 1) -> float:
-        """Nets per second of pure inference (Section IV-C runtime claim)."""
+        """Nets per second of :meth:`predict` (Section IV-C runtime claim)."""
         self._require_fitted()
         start = time.perf_counter()
         for _ in range(repeats):
-            for sample in samples:
-                self.predict_sample(sample)
+            self.predict(samples)
         elapsed = time.perf_counter() - start
         return repeats * len(samples) / elapsed if elapsed > 0 else float("inf")
 
@@ -486,12 +544,10 @@ def _init_predict_worker(estimator: "WireTimingEstimator") -> None:
     _WORKER_ESTIMATOR = estimator
 
 
-def _predict_worker(sample: NetSample
-                    ) -> Tuple[np.ndarray, np.ndarray, str, Optional[str]]:
-    """Worker entry point: predict one net, returning result + provenance."""
-    slew_ps, delay_ps = _WORKER_ESTIMATOR.predict_sample(sample)
-    record = _WORKER_ESTIMATOR.last_record
-    return slew_ps, delay_ps, record.tier, record.reason
+def _predict_worker(samples: List[NetSample]) -> List[_NetPrediction]:
+    """Worker entry point: predict one pack, returning results with their
+    provenance."""
+    return _WORKER_ESTIMATOR._predict_pack(samples)
 
 
 class LearnedWireModel(WireTimingModel):

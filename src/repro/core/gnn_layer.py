@@ -63,7 +63,8 @@ class WeightedSageLayer(Module):
         self.residual = residual and in_features == out_features
 
     def forward(self, x: Tensor, adjacency: np.ndarray) -> Tensor:
-        """``x``: (N, in_features); ``adjacency``: (N, N) normalized weights."""
+        """``x``: (B, N, in_features); ``adjacency``: (B, N, N) normalized
+        weights, one operator per net of the pack."""
         aggregated = matmul_const(adjacency, x)
         out = (self.w_self(x) + self.w_neigh(aggregated)).relu()
         if self.residual:
@@ -77,7 +78,8 @@ class GNNModule(Module):
     The first layer maps raw node features into the hidden width; the
     remaining ``L1 - 1`` layers are hidden-to-hidden with residuals.
     Produces the pre-node representations ``X^(L1)`` fed to the graph
-    transformer.
+    transformer.  :meth:`forward` takes each net's adjacency already
+    normalized by :meth:`operator`, which runs per net before packing.
     """
 
     def __init__(self, in_features: int, hidden: int, num_layers: int,
@@ -93,8 +95,13 @@ class GNNModule(Module):
             for i in range(num_layers)
         ]
 
+    def operator(self, adjacency: np.ndarray) -> np.ndarray:
+        """One net's aggregation operator from its raw adjacency."""
+        return normalize_adjacency(adjacency, self.adjacency_norm)
+
     def forward(self, x: Tensor, adjacency: np.ndarray) -> Tensor:
-        adjacency = normalize_adjacency(adjacency, self.adjacency_norm)
+        """``x``: (B, N, in_features); ``adjacency``: (B, N, N) from
+        :meth:`operator`."""
         for layer in self.layers:
             x = layer(x, adjacency)
         return x

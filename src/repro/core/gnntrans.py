@@ -12,9 +12,11 @@ Pipeline per RC net:
 4. **Heads** (Eq. 5-6) predict wire slew, then wire delay conditioned on
    the predicted slew.
 
-The model operates on :class:`~repro.features.NetSample` objects and emits
-predictions in the (standardized) label space; unit handling lives in
-:class:`~repro.core.estimator.WireTimingEstimator`.
+The model operates on a :class:`~repro.features.pipeline.NetBatch`, a
+pack of nets as zero-padded per-net slices, and emits predictions in the
+(standardized) label space; unit handling lives in
+:class:`~repro.core.estimator.WireTimingEstimator`.  A bare
+:class:`~repro.features.NetSample` is run as a pack of one.
 
 Only the path features of step 3 carry the input slew.  :meth:`GNNTrans.bind`
 therefore runs steps 1-3's mean pooling once per net, and each new slew
@@ -23,11 +25,11 @@ pays only for the path-feature join and the heads.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..features.pipeline import NetSample, PathRecord
+from ..features.pipeline import NetBatch, NetSample, PathRecord, pack
 from ..nn.layers import Module
 from ..nn.tensor import Tensor, concat
 from .config import DEFAULT_CONFIG, GNNTransConfig
@@ -70,57 +72,66 @@ class GNNTrans(Module):
                                  config.condition_delay_on_slew)
 
     # ------------------------------------------------------------------
-    def encode(self, sample: NetSample) -> Tensor:
-        """Final node representations ``X^(L1+L2)`` for one net."""
-        x = Tensor(sample.node_features)
-        x = self.gnn(x, sample.adjacency)
-        return self.transformer(x)
+    def pack(self, samples: Sequence[NetSample]) -> NetBatch:
+        """Pack ``samples`` with each net's adjacency normalized alone."""
+        return pack(samples, adjacency=self.gnn.operator)
 
-    def pool(self, sample: NetSample) -> Tensor:
-        """Mean final node representation per wire path, ``(P, hidden)``.
+    def _packed(self, batch: Union[NetBatch, NetSample]) -> NetBatch:
+        return self.pack([batch]) if isinstance(batch, NetSample) else batch
+
+    def encode(self, batch: NetBatch) -> Tensor:
+        """Final node representations ``X^(L1+L2)``, (B, N, hidden)."""
+        x = self.gnn(Tensor(batch.node_features), batch.adjacency)
+        return self.transformer(x, batch.node_mask)
+
+    def pool(self, batch: NetBatch) -> Tensor:
+        """Mean final node representation per wire path, (B, P, hidden).
 
         The left half of Eq. 4.  It reads the node features, the adjacency
         and the path membership, but no path feature, so it does not
         depend on the input slew.
         """
-        return pool_paths(self.encode(sample), sample,
+        return pool_paths(self.encode(batch), batch,
                           include_path_features=False)
 
     def join_path_features(self, pooled: Tensor,
-                           paths: Sequence[PathRecord]) -> Tensor:
-        """Eq. 4's ``f_q``: ``pooled`` joined with each path's features."""
+                           features: np.ndarray) -> Tensor:
+        """Eq. 4's ``f_q``: ``pooled`` joined with the (B, P, F) path
+        features."""
         if not self.config.include_path_features:
             return pooled
-        features = Tensor(np.vstack([p.features for p in paths]))
-        return concat([pooled, features], axis=-1)
+        return concat([pooled, Tensor(features)], axis=-1)
 
-    def path_representations(self, sample: NetSample) -> Tensor:
-        """Wire-path representations ``F = {f_q}`` (Eq. 4)."""
-        return self.join_path_features(self.pool(sample), sample.paths)
+    def path_representations(self, batch: Union[NetBatch, NetSample]
+                             ) -> Tensor:
+        """Wire-path representations ``F = {f_q}`` (Eq. 4), (B, P, d)."""
+        batch = self._packed(batch)
+        return self.join_path_features(self.pool(batch), batch.path_features)
 
     def bind(self, sample: NetSample
              ) -> Callable[[Sequence[PathRecord]], Tuple[Tensor, Tensor]]:
-        """:meth:`forward` split at the input-slew boundary.
+        """:meth:`forward` of one net, split at the input-slew boundary.
 
-        Runs :meth:`pool` on ``sample`` once and returns the rest of the
-        forward pass, the path-feature join and the heads, as a function
-        of the net's path records.  Their features, the input slew among
-        them, may differ from ``sample``'s.
+        Runs :meth:`pool` on ``sample`` as a pack of one, once, and returns
+        the rest of the forward pass, the path-feature join and the heads,
+        as a function of the net's path records.  Their features, the
+        input slew among them, may differ from ``sample``'s.
         """
-        pooled = self.pool(sample)
-        return lambda paths: self.heads(
-            self.join_path_features(pooled, paths))
+        pooled = self.pool(self.pack([sample]))
+        return lambda paths: self.heads(self.join_path_features(
+            pooled, np.vstack([p.features for p in paths])[None]))
 
-    def forward(self, sample: NetSample) -> Tuple[Tensor, Tensor]:
-        """Predict ``(slew, delay)`` for every wire path of ``sample``.
+    def forward(self, batch: Union[NetBatch, NetSample]
+                ) -> Tuple[Tensor, Tensor]:
+        """Predict ``(slew, delay)`` for every wire path of the pack.
 
-        Both outputs have shape ``(num_paths,)`` in the label space the
-        model was trained in.
+        Both outputs have shape (B, P) in the label space the model was
+        trained in; entries past a net's own paths are padding.
         """
-        return self.bind(sample)(sample.paths)
+        return self.heads(self.path_representations(batch))
 
     def predict(self, sample: NetSample) -> Tuple[np.ndarray, np.ndarray]:
-        """Inference-mode numpy predictions for one net."""
+        """Inference-mode numpy predictions for one net, each (P,)."""
         was_training = self.training
         self.eval()
         try:
@@ -128,4 +139,4 @@ class GNNTrans(Module):
         finally:
             if was_training:
                 self.train()
-        return slew.data.copy(), delay.data.copy()
+        return slew.data[0].copy(), delay.data[0].copy()

@@ -40,12 +40,14 @@ class TimingHeads(Module):
         self.delay_mlp = MLP(delay_in, hidden, 1, rng)            # phi
 
     def forward(self, path_representations: Tensor) -> Tuple[Tensor, Tensor]:
-        """Return ``(slew, delay)`` predictions, each of shape (P,)."""
-        # repro-shape: path_representations=(p, d):f64
+        """Return ``(slew, delay)``, each shaped like the input minus its
+        last axis: (B, P) for a pack's (B, P, d) representations."""
+        # repro-shape: path_representations=(b, p, d):f64
         slew = self.slew_mlp(path_representations)                # Eq. (5)
         if self.condition_delay_on_slew:
             delay_input = concat([path_representations, slew], axis=-1)
         else:
             delay_input = path_representations
         delay = self.delay_mlp(delay_input)                       # Eq. (6)
-        return slew.reshape(-1), delay.reshape(-1)
+        shape = path_representations.shape[:-1]
+        return slew.reshape(shape), delay.reshape(shape)

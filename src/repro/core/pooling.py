@@ -12,12 +12,12 @@ pooling is cheap — the observation that motivates the whole paper.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
-from ..features.pipeline import NetSample
-from ..nn.tensor import Tensor, concat, matmul_const, stack
+from ..features.pipeline import NetBatch, NetSample, pooling_matrices
+from ..nn.tensor import Tensor, concat, matmul_const
 
 
 def path_pooling_matrix(sample: NetSample, mode: str = "mean") -> np.ndarray:
@@ -30,15 +30,27 @@ def path_pooling_matrix(sample: NetSample, mode: str = "mean") -> np.ndarray:
     """
     if mode not in ("mean", "sum"):
         raise ValueError(f"unknown pooling mode {mode!r}")
-    matrix = np.zeros((sample.num_paths, sample.num_nodes), dtype=np.float64)
-    for q, path in enumerate(sample.paths):
-        weight = 1.0 / len(path.node_indices) if mode == "mean" else 1.0
-        for node in path.node_indices:
-            matrix[q, node] += weight
-    return matrix
+    mean, total, _ = pooling_matrices(sample)
+    return mean if mode == "mean" else total
 
 
-def pool_paths(node_representations: Tensor, sample: NetSample,
+def sink_selection_matrix(sample: NetSample) -> np.ndarray:
+    """Selector ``S`` with ``S @ X = per-path sink-node representations``."""
+    return pooling_matrices(sample)[2]
+
+
+def _operators(source: Union[NetBatch, NetSample]
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(mean, sum, sink, path features)`` of a pack, or of one bare net."""
+    if isinstance(source, NetBatch):
+        return (source.mean_pool, source.sum_pool, source.sink_pool,
+                source.path_features)
+    return pooling_matrices(source) + (
+        np.vstack([p.features for p in source.paths]),)
+
+
+def pool_paths(node_representations: Tensor,
+               source: Union[NetBatch, NetSample],
                include_path_features: bool = True,
                extensive: bool = False) -> Tensor:
     """Build path representations ``F = {f_q}`` per Eq. (4).
@@ -46,9 +58,11 @@ def pool_paths(node_representations: Tensor, sample: NetSample,
     Parameters
     ----------
     node_representations:
-        (N, hidden) output of the transformer module.
-    sample:
-        The net sample providing path membership and raw path features.
+        (B, N, hidden) output of the transformer module for the pack
+        ``source``, or (N, hidden) when ``source`` is one net's sample.
+    source:
+        The :class:`NetBatch` (or single sample) providing path membership
+        and raw path features.
     include_path_features:
         Concatenate the Table I path features (GNNTrans behaviour).  The
         graph baselines set this to ``False`` — no engineered path-feature
@@ -62,21 +76,11 @@ def pool_paths(node_representations: Tensor, sample: NetSample,
         baselines use mean ‖ sum ‖ sink pooling; see DESIGN.md's
         substitution notes and the pooling ablation bench.
     """
-    parts = [matmul_const(path_pooling_matrix(sample, "mean"),
-                          node_representations)]
+    mean, total, sink, features = _operators(source)
+    parts = [matmul_const(mean, node_representations)]
     if extensive:
-        parts.append(matmul_const(path_pooling_matrix(sample, "sum"),
-                                  node_representations))
-        parts.append(matmul_const(sink_selection_matrix(sample),
-                                  node_representations))
+        parts.append(matmul_const(total, node_representations))
+        parts.append(matmul_const(sink, node_representations))
     if include_path_features:
-        parts.append(Tensor(np.vstack([p.features for p in sample.paths])))
+        parts.append(Tensor(features))
     return concat(parts, axis=-1) if len(parts) > 1 else parts[0]
-
-
-def sink_selection_matrix(sample: NetSample) -> np.ndarray:
-    """Selector ``S`` with ``S @ X = per-path sink-node representations``."""
-    matrix = np.zeros((sample.num_paths, sample.num_nodes), dtype=np.float64)
-    for q, path in enumerate(sample.paths):
-        matrix[q, path.sink] = 1.0
-    return matrix

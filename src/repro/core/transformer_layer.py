@@ -10,20 +10,39 @@ projections; Eq. (3) aggregates value projections over all nodes,
 concatenates the heads, projects with ``W3`` and adds the residual input.
 A pre-attention LayerNorm (standard transformer practice, ablatable) keeps
 the deep stack trainable.
+
+In a pack of nets (:class:`~repro.features.pipeline.NetBatch`) each net
+attends only to its own nodes: padded keys are masked with ``-inf``, the
+structural mask of a structurally-masked transformer.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..nn.layers import LayerNorm, Linear, Module
-from ..nn.tensor import Tensor, concat
+from ..nn.init import xavier_uniform
+from ..nn.layers import LayerNorm, Linear, Module, Parameter
+from ..nn.tensor import Tensor
+
+
+def _key_mask_bias(node_mask: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """Additive attention bias (B, 1, 1, N): 0 on each net's own nodes,
+    ``-inf`` on padding; ``None`` when there is no padding to mask."""
+    if node_mask is None or node_mask.all():
+        return None
+    return np.where(node_mask, 0.0, -np.inf)[:, None, None, :]
 
 
 class MultiHeadSelfAttention(Module):
-    """K-head scaled dot-product self-attention with residual (Eq. 2-3)."""
+    """K-head scaled dot-product self-attention with residual (Eq. 2-3).
+
+    The per-head ``W_Q``, ``W_K``, ``W_V`` of the paper (without bias)
+    are the column blocks of one fused projection ``w_qkv`` of shape
+    ``(F, 3F)``: all query heads, then all key heads, then all value
+    heads.
+    """
 
     def __init__(self, features: int, num_heads: int,
                  rng: np.random.Generator, layer_norm: bool = True) -> None:
@@ -33,44 +52,57 @@ class MultiHeadSelfAttention(Module):
                 f"features ({features}) must be divisible by heads ({num_heads})")
         self.num_heads = num_heads
         self.head_dim = features // num_heads
-        # Per-head W_Q, W_K, W_V — the paper writes them per head, without
-        # bias terms (pure linear transformation matrices).
-        self.w_query = [Linear(features, self.head_dim, rng, bias=False)
-                        for _ in range(num_heads)]
-        self.w_key = [Linear(features, self.head_dim, rng, bias=False)
-                      for _ in range(num_heads)]
-        self.w_value = [Linear(features, self.head_dim, rng, bias=False)
-                        for _ in range(num_heads)]
+        # One draw per head and projection, in the order of separate
+        # per-head layers, so the fused weight equals their concatenation.
+        self.w_qkv = Parameter(np.hstack([
+            xavier_uniform((features, self.head_dim), rng)
+            for _ in range(3 * num_heads)]))
         self.w_out = Linear(features, features, rng, bias=False)  # W3
         self.norm = LayerNorm(features) if layer_norm else None
         self._scale = 1.0 / np.sqrt(self.head_dim)
 
-    def forward(self, x: Tensor) -> Tensor:
-        """``x``: (N, features) node representations; returns same shape."""
+    def _scores(self, normed: Tensor) -> Tuple[Tensor, Tensor]:
+        """Unscaled attention logits (..., H, N, N), values (..., H, N, d)."""
+        qkv = normed @ self.w_qkv                        # (..., N, 3F)
+        lead, n = qkv.shape[:-2], qkv.shape[-2]
+        rank = len(lead)
+        qkv = qkv.reshape(*lead, n, 3, self.num_heads, self.head_dim)
+        # (..., N, 3, H, d) -> (3, ..., H, N, d)
+        qkv = qkv.transpose((rank + 1,) + tuple(range(rank))
+                            + (rank + 2, rank, rank + 3))
+        query, key, value = qkv[0], qkv[1], qkv[2]
+        key_t = key.transpose(tuple(range(rank + 1)) + (rank + 2, rank + 1))
+        return query @ key_t, value
+
+    def forward(self, x: Tensor,
+                node_mask: Optional[np.ndarray] = None) -> Tensor:
+        """``x``: (B, N, features) node representations; returns the same
+        shape.  ``node_mask`` (B, N) marks each net's own nodes."""
         normed = self.norm(x) if self.norm is not None else x
-        heads: List[Tensor] = []
-        for k in range(self.num_heads):
-            query = self.w_query[k](normed)          # (N, d_k)
-            key = self.w_key[k](normed)              # (N, d_k)
-            value = self.w_value[k](normed)          # (N, d_k)
-            scores = (query @ key.T) * self._scale   # (N, N)
-            attention = scores.softmax(axis=-1)      # Eq. (2)
-            heads.append(attention @ value)          # (N, d_k)
-        multi = concat(heads, axis=-1)               # ||_k  in Eq. (3)
-        return x + self.w_out(multi)                 # residual of Eq. (3)
+        scores, value = self._scores(normed)
+        attention = scores.softmax(axis=-1, scale=self._scale,
+                                   bias=_key_mask_bias(node_mask))  # Eq. (2)
+        heads = attention @ value                        # (B, H, N, d)
+        rank = heads.ndim
+        multi = heads.transpose(tuple(range(rank - 3))
+                                + (rank - 2, rank - 3, rank - 1))
+        multi = multi.reshape(*x.shape)                  # ||_k  in Eq. (3)
+        return x + self.w_out(multi)                     # residual of Eq. (3)
 
     def attention_maps(self, x: Tensor) -> List[np.ndarray]:
-        """Per-head attention matrices for inspection (no gradients)."""
+        """Per-head attention matrices of one net (N, N), for inspection."""
         normed = self.norm(x) if self.norm is not None else x
-        maps: List[np.ndarray] = []
-        for k in range(self.num_heads):
-            query = self.w_query[k](normed).data
-            key = self.w_key[k](normed).data
-            scores = (query @ key.T) * self._scale
-            shifted = scores - scores.max(axis=-1, keepdims=True)
-            exp = np.exp(shifted)
-            maps.append(exp / exp.sum(axis=-1, keepdims=True))
-        return maps
+        scores, _ = self._scores(Tensor(normed.data))
+        return list(scores.detach().softmax(axis=-1, scale=self._scale).data)
+
+    def upgrade_state(self, state: Dict[str, np.ndarray], prefix: str) -> None:
+        """Fuse a per-head checkpoint's ``w_query``/``w_key``/``w_value``."""
+        legacy = [f"{prefix}w_{part}.{k}.weight"
+                  for part in ("query", "key", "value")
+                  for k in range(self.num_heads)]
+        if all(key in state for key in legacy):
+            state[f"{prefix}w_qkv"] = np.hstack([state.pop(key)
+                                                 for key in legacy])
 
 
 class TransformerModule(Module):
@@ -86,9 +118,10 @@ class TransformerModule(Module):
             for _ in range(num_layers)
         ]
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor,
+                node_mask: Optional[np.ndarray] = None) -> Tensor:
         for layer in self.layers:
-            x = layer(x)
+            x = layer(x, node_mask)
         return x
 
     @property

@@ -10,13 +10,15 @@ from .node_features import (NODE_FEATURE_NAMES, NUM_NODE_FEATURES,
                             extract_node_features)
 from .path_features import (NUM_PATH_FEATURES, PATH_FEATURE_NAMES,
                             NetContext, extract_path_features)
-from .pipeline import (ADJACENCY_RESISTANCE_SCALE, FeatureScaler, NetSample,
-                       PathRecord, build_adjacency, build_net_sample)
+from .pipeline import (ADJACENCY_RESISTANCE_SCALE, FeatureScaler, NetBatch,
+                       NetSample, PathRecord, build_adjacency,
+                       build_net_sample, pack)
 
 __all__ = [
     "NODE_FEATURE_NAMES", "NUM_NODE_FEATURES", "extract_node_features",
     "PATH_FEATURE_NAMES", "NUM_PATH_FEATURES", "NetContext",
     "extract_path_features",
     "NetSample", "PathRecord", "FeatureScaler", "build_net_sample",
+    "NetBatch", "pack",
     "build_adjacency", "ADJACENCY_RESISTANCE_SCALE",
 ]

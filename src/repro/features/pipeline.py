@@ -1,10 +1,13 @@
-"""Feature pipeline: per-net graph samples and standardization.
+"""Feature pipeline: per-net graph samples, packs of them, standardization.
 
 A :class:`NetSample` is the fully numeric view of one RC net that every
 model in this repo (GNNTrans and all baselines) consumes: node feature
 matrix ``X``, resistance-weighted adjacency ``A``, per-path feature vectors
 ``H`` with node-membership index lists, and golden slew/delay labels in
 picoseconds (Fig. 5 of the paper, in data-structure form).
+
+:func:`pack` stacks several samples into one :class:`NetBatch` of
+zero-padded per-net slices, the input of every model's forward pass.
 
 :class:`FeatureScaler` standardizes node and path features with statistics
 fitted on the training split only, as proper ML hygiene requires.
@@ -13,7 +16,7 @@ fitted on the training split only, as proper ML hygiene requires.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,6 +78,96 @@ class NetSample:
         slews = np.array([p.label_slew for p in self.paths])
         delays = np.array([p.label_delay for p in self.paths])
         return slews, delays
+
+
+def pooling_matrices(sample: NetSample
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One net's ``(mean, sum, sink)`` path-pooling operators, each (P, N).
+
+    Row ``q`` of ``mean`` holds ``1 / N_q`` at each node path ``q``
+    visits (Eq. 4's average), ``sum`` holds ones there, and ``sink`` a
+    single one at the path's sink, so ``M @ X`` pools every path at once.
+    """
+    shape = (sample.num_paths, sample.num_nodes)
+    mean, total, sink = (np.zeros(shape) for _ in range(3))
+    for q, path in enumerate(sample.paths):
+        nodes = list(path.node_indices)
+        mean[q, nodes] = 1.0 / len(nodes)
+        total[q, nodes] = 1.0
+        sink[q, path.sink] = 1.0
+    return mean, total, sink
+
+
+@dataclass(frozen=True)
+class NetBatch:
+    """A pack of nets as zero-padded per-net slices, one per leading index.
+
+    Net ``b`` owns the first ``n_b`` node rows and ``p_b`` path rows of
+    slice ``b``; the rest is zero padding up to the pack's largest net.
+    Every array is per slice, so a model never mixes two nets: a
+    non-finite value in one net cannot reach another, where one
+    block-diagonal graph would spread it through ``0 * NaN`` in its
+    matrix products.
+    """
+
+    node_features: np.ndarray     # (B, N, F) node inputs of the model
+    adjacency: np.ndarray         # (B, N, N) per-net propagation operator
+    node_mask: np.ndarray         # (B, N) True on each net's own nodes
+    mean_pool: np.ndarray         # (B, P, N) see :func:`pooling_matrices`
+    sum_pool: np.ndarray          # (B, P, N)
+    sink_pool: np.ndarray         # (B, P, N)
+    path_features: np.ndarray     # (B, P, NUM_PATH_FEATURES)
+    path_mask: np.ndarray         # (B, P) True on each net's own paths
+    input_slew_ps: np.ndarray     # (B, P) raw driver transition, ps
+    names: Tuple[str, ...]
+    designs: Tuple[str, ...]
+
+
+def pack(samples: Sequence[NetSample],
+         node_inputs: Optional[Callable[[NetSample], np.ndarray]] = None,
+         adjacency: Optional[Callable[[np.ndarray], np.ndarray]] = None
+         ) -> NetBatch:
+    """Stack ``samples`` into one :class:`NetBatch`.
+
+    ``node_inputs`` maps a sample to its ``(n, F)`` model node inputs
+    (default: its node features) and ``adjacency`` maps its raw
+    adjacency to the model's ``(n, n)`` propagation operator (default:
+    unchanged).  Both run on each net's own arrays before padding, so
+    row sums, degrees and eigenvectors see only that net.
+    """
+    samples = list(samples)
+    if not samples:
+        raise ValueError("pack() needs at least one sample")
+    inputs = [node_inputs(s) if node_inputs is not None else s.node_features
+              for s in samples]
+    operators = [adjacency(s.adjacency) if adjacency is not None
+                 else s.adjacency for s in samples]
+    size = len(samples)
+    n = max(len(x) for x in inputs)
+    p = max(s.num_paths for s in samples)
+    node_features = np.zeros((size, n, inputs[0].shape[1]))
+    operator = np.zeros((size, n, n))
+    node_mask = np.zeros((size, n), dtype=bool)
+    mean_pool, sum_pool, sink_pool = (np.zeros((size, p, n))
+                                      for _ in range(3))
+    path_features = np.zeros((size, p, NUM_PATH_FEATURES))
+    path_mask = np.zeros((size, p), dtype=bool)
+    input_slew_ps = np.zeros((size, p))
+    for b, (sample, x, a) in enumerate(zip(samples, inputs, operators)):
+        nodes, paths = len(x), sample.num_paths
+        node_features[b, :nodes] = x
+        operator[b, :nodes, :nodes] = a
+        node_mask[b, :nodes] = True
+        (mean_pool[b, :paths, :nodes], sum_pool[b, :paths, :nodes],
+         sink_pool[b, :paths, :nodes]) = pooling_matrices(sample)
+        path_mask[b, :paths] = True
+        for q, path in enumerate(sample.paths):
+            path_features[b, q] = path.features
+            input_slew_ps[b, q] = path.input_slew_ps
+    return NetBatch(node_features, operator, node_mask, mean_pool, sum_pool,
+                    sink_pool, path_features, path_mask, input_slew_ps,
+                    tuple(s.name for s in samples),
+                    tuple(s.design for s in samples))
 
 
 def build_adjacency(net: RCNet,

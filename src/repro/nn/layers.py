@@ -128,12 +128,41 @@ class Module:
                 self._state_value(state, f"{key}.{k}", item)
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load parameters previously produced by :meth:`state_dict`."""
+        """Load parameters previously produced by :meth:`state_dict`.
+
+        Keys of an older parameter layout are first rewritten by each
+        submodule's :meth:`upgrade_state`.
+        """
+        state = dict(state)
+        self._upgrade_tree(state, prefix="")
         own = self.state_dict()
         missing = set(own) - set(state)
         if missing:
             raise KeyError(f"state dict is missing parameters: {sorted(missing)}")
         self._load_from(state, prefix="")
+
+    def upgrade_state(self, state: Dict[str, np.ndarray], prefix: str) -> None:
+        """Rewrite this module's legacy keys in ``state`` in place.
+
+        ``prefix`` is this module's key prefix.  Modules whose parameter
+        layout changed override it; the default has nothing to rewrite.
+        """
+
+    def _upgrade_tree(self, state: Dict[str, np.ndarray], prefix: str) -> None:
+        self.upgrade_state(state, prefix)
+        for name, value in self.__dict__.items():
+            self._upgrade_value(state, f"{prefix}{name}", value)
+
+    def _upgrade_value(self, state: Dict[str, np.ndarray], key: str,
+                       value) -> None:
+        if isinstance(value, Module):
+            value._upgrade_tree(state, prefix=f"{key}.")
+        elif isinstance(value, (list, tuple)):
+            for i, item in enumerate(value):
+                self._upgrade_value(state, f"{key}.{i}", item)
+        elif isinstance(value, dict):
+            for k, item in value.items():
+                self._upgrade_value(state, f"{key}.{k}", item)
 
     def _load_from(self, state: Dict[str, np.ndarray], prefix: str) -> None:
         for name, value in self.__dict__.items():
@@ -196,7 +225,7 @@ class Linear(Module):
         self.bias = Parameter(zeros((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        # repro-shape: x=(n, i):f64 -> (n, o):f64
+        # repro-shape: x=(b, n, i):f64 -> (b, n, o):f64
         out = x @ self.weight
         if self.bias is not None:
             out = out + self.bias
@@ -226,7 +255,7 @@ class MLP(Module):
         self.dropout = Dropout(dropout, rng) if dropout > 0.0 else None
 
     def forward(self, x: Tensor) -> Tensor:
-        # repro-shape: x=(n, i):f64 -> (n, o):f64
+        # repro-shape: x=(b, n, i):f64 -> (b, n, o):f64
         for i, layer in enumerate(self.layers):
             x = layer(x)
             if i < len(self.layers) - 1:
@@ -251,7 +280,7 @@ class LayerNorm(Module):
         self.beta = Parameter(zeros((features,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        # repro-shape: x=(n, f):f64 -> (n, f):f64
+        # repro-shape: x=(b, n, f):f64 -> (b, n, f):f64
         mu = x.mean(axis=-1, keepdims=True)
         centered = x - mu
         var = (centered * centered).mean(axis=-1, keepdims=True)

@@ -141,10 +141,11 @@ class Tensor:
         backward_fn: Callable[[np.ndarray], None],
         op: str,
     ) -> "Tensor":
-        requires = any(p.requires_grad for p in parents)
-        if not requires:
-            return Tensor(data)
-        return Tensor(data, requires_grad=True, _parents=parents, _backward_fn=backward_fn, _op=op)
+        for parent in parents:
+            if parent.requires_grad:
+                return Tensor(data, requires_grad=True, _parents=parents,
+                              _backward_fn=backward_fn, _op=op)
+        return Tensor(data)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
@@ -263,14 +264,11 @@ class Tensor:
         return self._make(out_data, (self,), backward, "reshape")
 
     def transpose(self, axes: Optional[Sequence[int]] = None) -> "Tensor":
-        out_data = np.transpose(self.data, axes)
-        if axes is None:
-            inverse = None
-        else:
-            inverse = np.argsort(axes)
+        out_data = self.data.transpose(axes)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(np.transpose(grad, inverse))
+            inverse = None if axes is None else np.argsort(axes)
+            self._accumulate(grad.transpose(inverse))
 
         return self._make(out_data, (self,), backward, "transpose")
 
@@ -280,7 +278,19 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             full = np.zeros(input_shape, dtype=np.float64)
-            np.add.at(full, index, grad)
+            # Basic indexing (ints, slices, ``...``, ``None``) reaches each
+            # element at most once, so its gradient is assigned; only
+            # advanced indexing, which may repeat an element, needs
+            # ``np.add.at``.
+            basic = all(
+                (isinstance(item, (int, np.integer, slice))
+                 and not isinstance(item, bool))
+                or item is None or item is Ellipsis
+                for item in (index if isinstance(index, tuple) else (index,)))
+            if basic:
+                full[index] = grad
+            else:
+                np.add.at(full, index, grad)
             self._accumulate(full)
 
         return self._make(out_data, (self,), backward, "getitem")
@@ -392,14 +402,28 @@ class Tensor:
 
         return self._make(out_data, (self,), backward, "leaky_relu")
 
-    def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        out_data = exp / exp.sum(axis=axis, keepdims=True)
+    def softmax(self, axis: int = -1, scale: float = 1.0,
+                bias: Optional[np.ndarray] = None) -> "Tensor":
+        """Softmax of ``self * scale + bias`` along ``axis``, as one op.
+
+        ``bias`` is a constant, such as an attention mask holding
+        ``-inf`` on keys that must get zero weight; every softmax row
+        needs one finite entry.  Fusing the scale and the mask keeps one
+        logits array on the tape instead of three.
+        """
+        # One fresh array, updated in place: an attention pack's logits
+        # are its largest arrays.
+        out_data = self.data * scale
+        if bias is not None:
+            out_data += bias
+        out_data -= out_data.max(axis=axis, keepdims=True)
+        np.exp(out_data, out=out_data)
+        out_data /= out_data.sum(axis=axis, keepdims=True)
 
         def backward(grad: np.ndarray) -> None:
             dot = (grad * out_data).sum(axis=axis, keepdims=True)
-            self._accumulate(out_data * (grad - dot))
+            local = out_data * (grad - dot)
+            self._accumulate(local * scale if scale != 1.0 else local)
 
         return self._make(out_data, (self,), backward, "softmax")
 
@@ -443,6 +467,9 @@ class Tensor:
         for node in reversed(order):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
+                # Only leaves keep their gradient; an intermediate one is
+                # spent once it has been passed on.
+                node.grad = None
 
 
 def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
@@ -498,13 +525,15 @@ def matmul_const(matrix: np.ndarray, tensor: Tensor) -> Tensor:
 
     Used for fixed aggregation operators such as the resistance-weighted
     adjacency matrix in the GNN module (Eq. 1), where the matrix carries no
-    gradient but the node representations do.
+    gradient but the node representations do.  ``matrix`` may be a stack
+    ``(B, M, N)`` of per-net operators applied to ``tensor`` of shape
+    ``(B, N, F)``; the backward pass transposes only its last two axes.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     out_data = matrix @ tensor.data
 
     def backward(grad: np.ndarray) -> None:
-        tensor._accumulate(matrix.T @ grad)
+        tensor._accumulate(np.swapaxes(matrix, -1, -2) @ grad)
 
     if not tensor.requires_grad:
         return Tensor(out_data)

@@ -2,9 +2,9 @@
 
 Wire-timing datasets are collections of variable-size RC-net graphs, so the
 unit of batching is a *net* rather than a fixed-shape tensor: the trainer
-iterates samples, accumulates gradients over a minibatch of nets, then takes
-one optimizer step — equivalent to the paper's per-net training with batched
-updates.
+hands each shuffled minibatch of samples to the loss function, which packs
+them into one forward pass and returns their mean loss; one backward pass
+and one optimizer step follow.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ _BATCHES_RUN = get_metrics().counter("trainer.batches_run")
 from .optim import Optimizer
 from .tensor import Tensor
 
-LossFn = Callable[[Module, object], Tensor]
+#: ``(model, minibatch of samples) -> mean loss over the minibatch``.
+LossFn = Callable[[Module, List], Tensor]
 
 
 @dataclass
@@ -76,8 +77,9 @@ class Trainer:
     optimizer:
         Optimizer constructed over ``model.parameters()``.
     loss_fn:
-        Callable ``(model, sample) -> scalar Tensor``.  Each sample is
-        typically one RC net (graph + per-path labels).
+        Callable ``(model, samples) -> scalar Tensor``: the mean loss over
+        a list of samples, one minibatch.  Each sample is typically one RC
+        net (graph + per-path labels).
     grad_clip:
         Optional global-norm gradient clip, recommended for the deep
         GNN+Transformer stacks.
@@ -120,19 +122,15 @@ class Trainer:
                 self.rng.shuffle(indices)
                 losses: List[float] = []
                 for batch_start in range(0, len(indices), batch_size):
-                    batch = indices[batch_start:batch_start + batch_size]
+                    batch = [train_samples[int(idx)] for idx in
+                             indices[batch_start:batch_start + batch_size]]
                     self.optimizer.zero_grad()
-                    batch_loss = 0.0
-                    for idx in batch:
-                        loss = self.loss_fn(self.model, train_samples[int(idx)])
-                        # Average gradients across the batch by scaling each
-                        # per-sample loss before its backward pass.
-                        (loss * (1.0 / len(batch))).backward()
-                        batch_loss += loss.item()
+                    loss = self.loss_fn(self.model, batch)
+                    loss.backward()
                     if self.grad_clip is not None:
                         self.optimizer.clip_grad_norm(self.grad_clip)
                     self.optimizer.step()
-                    losses.append(batch_loss / len(batch))
+                    losses.append(loss.item())
                     _BATCHES_RUN.inc()
                 if schedule is not None:
                     schedule.step()
@@ -141,7 +139,7 @@ class Trainer:
 
                 val_loss = None
                 if val_samples is not None:
-                    val_loss = self.evaluate(val_samples)
+                    val_loss = self.evaluate(val_samples, batch_size)
                     if math.isfinite(val_loss) and val_loss < best_val - 1e-12:
                         best_val = val_loss
                         best_state = self.model.state_dict()
@@ -185,11 +183,21 @@ class Trainer:
         self.model.eval()
         return history
 
-    def evaluate(self, samples: Sequence) -> float:
-        """Mean loss over ``samples`` in eval mode (no gradient tracking)."""
-        self.model.eval()
-        total = 0.0
-        for sample in samples:
-            total += self.loss_fn(self.model, sample).item()
-        self.model.train()
+    def evaluate(self, samples: Sequence, batch_size: int = 8) -> float:
+        """Mean loss over ``samples`` in eval mode (no gradient tracking).
+
+        Runs ``batch_size`` samples per loss call and leaves the model in
+        the mode it found.
+        """
+        was_training = self.model.training
+        if was_training:
+            self.model.eval()
+        try:
+            total = 0.0
+            for start in range(0, len(samples), batch_size):
+                batch = list(samples[start:start + batch_size])
+                total += self.loss_fn(self.model, batch).item() * len(batch)
+        finally:
+            if was_training:
+                self.model.train()
         return total / max(1, len(samples))

@@ -106,8 +106,8 @@ class TestFactories:
             model = factory(8, 10, config, np.random.default_rng(0))
             assert isinstance(model, GraphBaseline)
             slew, delay = model(sample)
-            assert slew.shape == (sample.num_paths,)
-            assert delay.shape == (sample.num_paths,)
+            assert slew.shape == (1, sample.num_paths)
+            assert delay.shape == (1, sample.num_paths)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

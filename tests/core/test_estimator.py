@@ -258,8 +258,8 @@ class TestFitAfterEvalMode:
         model = estimator.model
         assert not model.training
 
-        def loss_fn(module, sample):
-            slew, delay = module(sample)
+        def loss_fn(module, batch):
+            slew, delay = module(module.pack(batch))
             return (slew * slew).sum() + (delay * delay).sum()
 
         before = [p.data.copy() for p in model.parameters()]

@@ -190,8 +190,8 @@ class TestFullModel:
     def test_forward_shapes(self, rng, sample):
         model = GNNTrans(8, 10)
         slew, delay = model(sample)
-        assert slew.shape == (sample.num_paths,)
-        assert delay.shape == (sample.num_paths,)
+        assert slew.shape == (1, sample.num_paths)
+        assert delay.shape == (1, sample.num_paths)
 
     def test_predict_is_eval_and_deterministic(self, sample):
         model = GNNTrans(8, 10)
@@ -217,7 +217,7 @@ class TestFullModel:
         cfg = GNNTransConfig(l1=2, l2=1, hidden=16, num_heads=2)
         model = GNNTrans(8, 10, cfg)
         reps = model.path_representations(sample)
-        assert reps.shape == (sample.num_paths, 16 + 10)
+        assert reps.shape == (1, sample.num_paths, 16 + 10)
 
     def test_eval_forward_records_no_tape(self, sample):
         from repro.core import GNNTransConfig

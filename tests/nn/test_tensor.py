@@ -116,6 +116,50 @@ class TestMatmul:
         np.testing.assert_allclose(x.grad, m.T @ np.ones((2, 1)))
 
 
+class TestPackedOps:
+    """The ops a pack of zero-padded nets leans on."""
+
+    def test_getitem_basic_slices(self):
+        check_gradient(lambda t: t[1:, ::2] * 1.5, (3, 5))
+        check_gradient(lambda t: t[..., 2], (2, 3, 4))
+        check_gradient(lambda t: t[None, 0, 1:3], (3, 4))
+
+    def test_getitem_advanced_index_accumulates_repeats(self):
+        t = Tensor(np.arange(4.0), requires_grad=True)
+        t[np.array([0, 0, 2])].sum().backward()
+        np.testing.assert_allclose(t.grad, [2.0, 0.0, 1.0, 0.0])
+
+    def test_batched_matmul_const(self):
+        m = np.random.default_rng(2).normal(size=(3, 4, 5))
+        check_gradient(lambda t: matmul_const(m, t), (3, 5, 2))
+
+    def test_stacked_rows_times_matrix(self):
+        rng = np.random.default_rng(3)
+        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        ((a @ b) ** 2).sum().backward()
+        a_num = numerical_grad(
+            lambda arr: float(((arr @ b.data) ** 2).sum()), a.data.copy())
+        b_num = numerical_grad(
+            lambda arr: float(((a.data @ arr) ** 2).sum()), b.data.copy())
+        np.testing.assert_allclose(a.grad, a_num, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(b.grad, b_num, rtol=1e-5, atol=1e-6)
+
+    def test_key_masked_softmax(self):
+        keep = np.array([[True, True, True, True],
+                         [True, True, False, False]])
+        bias = np.where(keep, 0.0, -np.inf)[:, None, :]
+        check_gradient(lambda t: t.softmax(axis=-1, scale=0.7, bias=bias),
+                       (2, 3, 4), tol=1e-4)
+        t = Tensor(np.random.default_rng(4).normal(size=(2, 3, 4)),
+                   requires_grad=True)
+        out = t.softmax(axis=-1, bias=bias)
+        assert np.all(out.data[1, :, 2:] == 0.0)
+        np.testing.assert_allclose(out.data.sum(axis=-1), 1.0)
+        (out * Tensor(np.arange(24.0).reshape(2, 3, 4))).sum().backward()
+        assert np.all(t.grad[1, :, 2:] == 0.0)
+
+
 class TestReductionsAndShape:
     def test_sum_axis(self):
         check_gradient(lambda t: t.sum(axis=0), (3, 4))

@@ -23,9 +23,9 @@ def make_samples(rng, n=64, slope=3.0, noise=0.0):
              + noise * rng.normal(size=(1, 1))) for x in xs]
 
 
-def loss_fn(model, sample):
-    x, y = sample
-    return mse_loss(model(Tensor(x)), Tensor(y))
+def loss_fn(model, batch):
+    xs, ys = zip(*batch)
+    return mse_loss(model(Tensor(np.vstack(xs))), Tensor(np.vstack(ys)))
 
 
 @pytest.fixture
@@ -108,3 +108,32 @@ class TestTrainerWithSchedule:
         # LR recorded per epoch decays towards zero under the cosine.
         assert lrs[-1] < lrs[0]
         assert opt.lr < 0.1
+
+
+class TestEvaluateMode:
+    """evaluate() leaves the model in the mode it found it in."""
+
+    def test_eval_mode_kept_after_fit(self, rng):
+        model = ToyModel(rng)
+        trainer = Trainer(model, Adam(model.parameters(), lr=0.05), loss_fn)
+        samples = make_samples(rng, n=8)
+        trainer.fit(samples, epochs=1, batch_size=4)
+        trainer.evaluate(samples)
+        assert not model.training
+        assert not any(p.requires_grad for p in model.parameters())
+        assert not model(Tensor(np.ones((1, 1)))).requires_grad
+
+    def test_train_mode_restored(self, rng):
+        model = ToyModel(rng)
+        trainer = Trainer(model, Adam(model.parameters(), lr=0.05), loss_fn)
+        trainer.evaluate(make_samples(rng, n=5), batch_size=2)
+        assert model.training
+        assert all(p.requires_grad for p in model.parameters())
+
+    def test_minibatched_mean_equals_per_sample_mean(self, rng):
+        model = ToyModel(rng)
+        trainer = Trainer(model, Adam(model.parameters(), lr=0.05), loss_fn)
+        samples = make_samples(rng, n=7, noise=0.3)
+        per_sample = np.mean([loss_fn(model, [s]).item() for s in samples])
+        assert trainer.evaluate(samples, batch_size=3) == pytest.approx(
+            per_sample, rel=1e-12)
