@@ -55,7 +55,7 @@ def dac20_model(dataset):
 def test_table5_arrival_time_accuracy(benchmark, dataset, plan_models,
                                       dac20_model, library, capsys):
     rows = []
-    summaries = {name: {"r2": [], "mae": []}
+    summaries = {name: {"r2": [], "max_err": []}
                  for name in ["DAC20"] + list(PLAN_CONFIGS)}
     selfcon_rows = []
     runtime_rows = []
@@ -96,10 +96,10 @@ def test_table5_arrival_time_accuracy(benchmark, dataset, plan_models,
 
         row = [design_name]
         for name in ["DAC20", "PlanA", "PlanB", "PlanC"]:
-            r2, mae = cells[name]
-            row.append(f"{r2:.3f}/{mae:.2f}")
+            r2, max_err = cells[name]
+            row.append(f"{r2:.3f}/{max_err:.2f}")
             summaries[name]["r2"].append(r2)
-            summaries[name]["mae"].append(mae)
+            summaries[name]["max_err"].append(max_err)
         rows.append(row)
 
         runtime_rows.append([
@@ -113,11 +113,11 @@ def test_table5_arrival_time_accuracy(benchmark, dataset, plan_models,
     avg_row = ["Average"]
     for name in ["DAC20", "PlanA", "PlanB", "PlanC"]:
         avg_row.append(f"{np.mean(summaries[name]['r2']):.3f}/"
-                       f"{np.mean(summaries[name]['mae']):.2f}")
+                       f"{np.mean(summaries[name]['max_err']):.2f}")
     rows.append(avg_row)
 
     emit(capsys, format_table(
-        ["Benchmark", "DAC20 R2/MAE(ps)", "PlanA", "PlanB", "PlanC"],
+        ["Benchmark", "DAC20 R2/MaxErr(ps)", "PlanA", "PlanB", "PlanC"],
         rows,
         title="Table V (accuracy): path arrival time vs golden STA "
               "(paper avg: DAC20 0.648/74.6ps, PlanB 0.985/1.9ps)"))
@@ -127,18 +127,18 @@ def test_table5_arrival_time_accuracy(benchmark, dataset, plan_models,
         runtime_rows,
         title="Table V (runtime): STA runtime split"))
     emit(capsys, format_table(
-        ["Benchmark", "R2", "MAE(ps)"], selfcon_rows,
+        ["Benchmark", "R2", "MaxErr(ps)"], selfcon_rows,
         title="Extension: fully self-consistent propagation "
               "(learned slews drive every gate lookup)"))
 
     # Shape assertions: every plan beats DAC20 on max error and R^2.
-    dac_mae = np.mean(summaries["DAC20"]["mae"])
+    dac_max_err = np.mean(summaries["DAC20"]["max_err"])
     for plan in PLAN_CONFIGS:
-        assert np.mean(summaries[plan]["mae"]) < dac_mae
+        assert np.mean(summaries[plan]["max_err"]) < dac_max_err
         assert np.mean(summaries[plan]["r2"]) > np.mean(
             summaries["DAC20"]["r2"])
     # Headline: GNNTrans max arrival error stays in the few-ps regime.
-    assert np.mean(summaries["PlanB"]["mae"]) < 10.0
+    assert np.mean(summaries["PlanB"]["max_err"]) < 10.0
 
     netlist = generate_benchmark(BENCH_TEST[0], library, scale=BENCH_SCALE)
     engine = STAEngine(netlist,

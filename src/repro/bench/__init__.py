@@ -7,8 +7,9 @@ dataset, ``accuracy_table`` collects slew/delay R² and max-error per model,
 ``bootstrap_ci`` provides the confidence intervals quoted in
 EXPERIMENTS.md.
 
-Distinct from :mod:`repro.obs.bench`, which is the *performance* baseline
-(the ``repro bench`` CLI workload); this package measures accuracy.
+This package measures accuracy; speed is measured by ``perfbench/``
+(docs/PERFORMANCE.md), and the ``repro bench`` command is the timing
+service's load generator (:mod:`repro.serve.loadgen`).
 """
 
 from .harness import (MODEL_ORDER, AccuracyTable, accuracy_table,

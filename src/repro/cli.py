@@ -9,7 +9,8 @@ user workflow without writing Python:
 ``repro spef-timing``  golden wire timing for every net of a SPEF file
 ``repro sta``          full or incremental/ECO timing of a benchmark design
 ``repro benchmarks``   list the Table II benchmark suite
-``repro bench``        run the pinned perf workload, write ``BENCH_<date>.json``
+``repro bench``        load-generate against the timing service, write
+                       ``SERVE_BENCH_<date>.json``
 ``repro serve``        run the fault-tolerant timing service (docs/SERVING.md)
 ``repro lint``         run the repo's AST invariant linter (docs/LINTING.md)
 
@@ -171,31 +172,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="run the pinned end-to-end perf workload, write BENCH_<date>.json")
+        help="load-generate against the timing service: p50/p99 latency, "
+             "nets/s and the outcome census (see docs/SERVING.md); exits 1 "
+             "if a request is lost")
     p.add_argument("--quick", action="store_true",
-                   help="CI-sized workload (seconds instead of minutes)")
-    p.add_argument("--serve", action="store_true",
-                   help="load-generate against the timing service instead "
-                        "of the pipeline workload; reports p50/p99 latency "
-                        "and nets/s (see docs/SERVING.md)")
-    p.add_argument("--eco", action="store_true",
-                   help="run the incremental-retiming micro-workload (one "
-                        "full pass, then k single-net edits) instead of "
-                        "the pipeline workload; see docs/ECO.md")
+                   help="CI-sized workload (about a second)")
     p.add_argument("--host", default=None,
-                   help="with --serve: target an already-running server "
-                        "instead of an in-process one")
+                   help="target an already-running server instead of an "
+                        "in-process one")
     p.add_argument("--port", type=int, default=None,
-                   help="with --serve: port of the external server")
+                   help="port of the external server")
     p.add_argument("-o", "--outdir", default=".",
-                   help="directory for BENCH_<date>.json (default: cwd, "
-                        "i.e. the repo root when run from it)")
-    p.add_argument("--date", help="override the date stamp in the filename "
-                                  "(YYYY-MM-DD; default: today)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the parallel stages (0 = all "
-                        "cores; capped at core count); recorded in the "
-                        "report's workload block")
+                   help="directory for SERVE_BENCH_<date>.json "
+                        "(default: cwd)")
     p.set_defaults(handler=_cmd_bench)
 
     p = sub.add_parser(
@@ -485,50 +474,26 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from dataclasses import replace
+    from .serve.loadgen import (QUICK_SERVE_WORKLOAD,
+                                THROUGHPUT_SERVE_WORKLOAD,
+                                format_serve_summary, run_serve_bench,
+                                write_serve_report)
 
-    from .obs import (DEFAULT_WORKLOAD, QUICK_WORKLOAD, format_bench_summary,
-                      run_bench, write_bench_report)
-
-    if args.serve and args.eco:
-        print("error: --serve and --eco are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    if args.serve:
-        return _cmd_bench_serve(args)
-    if args.eco:
-        return _cmd_bench_eco(args)
-    workload = QUICK_WORKLOAD if args.quick else DEFAULT_WORKLOAD
-    jobs = _cli_jobs(args.jobs)
-    if jobs != workload.jobs:
-        workload = replace(workload, jobs=jobs)
-    document = run_bench(workload)
+    workload = QUICK_SERVE_WORKLOAD if args.quick \
+        else THROUGHPUT_SERVE_WORKLOAD
+    document = run_serve_bench(workload, host=args.host, port=args.port)
     try:
-        path = write_bench_report(document, out_dir=args.outdir,
-                                  date=args.date)
-    except (OSError, ValueError) as exc:
+        path = write_serve_report(document, out_dir=args.outdir)
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(format_bench_summary(document))
+    print(format_serve_summary(document))
     print(f"wrote {path}")
+    lost = document["results"]["serve"]["lost_requests"]
+    if lost:
+        print(f"error: {lost} request(s) lost", file=sys.stderr)
+        return 1
     return 0
-
-
-def _cmd_bench_eco(args: argparse.Namespace) -> int:
-    from .obs import (DEFAULT_ECO_WORKLOAD, QUICK_ECO_WORKLOAD,
-                      format_eco_summary, run_eco_bench, write_bench_report)
-
-    workload = QUICK_ECO_WORKLOAD if args.quick else DEFAULT_ECO_WORKLOAD
-    document = run_eco_bench(workload)
-    try:
-        path = write_bench_report(document, out_dir=args.outdir,
-                                  date=args.date)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(format_eco_summary(document))
-    print(f"wrote {path}")
-    return 0 if document["results"]["eco"]["parity_ok"] else 1
 
 
 def _cmd_sta(args: argparse.Namespace) -> int:
@@ -605,25 +570,6 @@ def _cmd_sta(args: argparse.Namespace) -> int:
                 print(f"  {problem}", file=sys.stderr)
             return 1
         print("parity ok: bitwise identical to a cold full pass")
-    return 0
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from .obs import write_bench_report
-    from .serve import (QUICK_SERVE_WORKLOAD, THROUGHPUT_SERVE_WORKLOAD,
-                        format_serve_summary, run_serve_bench)
-
-    workload = QUICK_SERVE_WORKLOAD if args.quick \
-        else THROUGHPUT_SERVE_WORKLOAD
-    document = run_serve_bench(workload, host=args.host, port=args.port)
-    try:
-        path = write_bench_report(document, out_dir=args.outdir,
-                                  date=args.date)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(format_serve_summary(document))
-    print(f"wrote {path}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Observability: structured tracing, metrics, exporters, perf baseline.
+"""Observability: structured tracing, metrics, exporters, lock watchdog.
 
 Zero-dependency (stdlib-only) instrumentation layer used throughout the
 pipeline's hot paths.  Four modules:
@@ -13,9 +13,11 @@ pipeline's hot paths.  Four modules:
 * :mod:`~repro.obs.profile` / :mod:`~repro.obs.export` — per-stage
   aggregation, the ``repro report --profile`` table, and JSON/JSONL
   serialization;
-* :mod:`~repro.obs.bench` — the pinned ``repro bench`` workload that
-  writes the repo's ``BENCH_<date>.json`` performance baseline
-  (schema-validated; see `docs/OBSERVABILITY.md`).
+* :mod:`~repro.obs.lockwatch` — :func:`named_lock` and the runtime
+  lock-order watchdog behind ``REPRO_LOCK_WATCHDOG``.
+
+Performance is measured by ``perfbench/`` (docs/PERFORMANCE.md), which
+reads these spans and counters; this package holds no benchmark.
 
 Instrumentation convention: hot loops touch only counters (one integer
 add); per-net / per-epoch / per-design granularity gets spans, which cost
@@ -31,11 +33,6 @@ from .metrics import (Counter, Gauge, Histogram, MetricRegistry, get_metrics)
 from .profile import StageProfile, aggregate_spans, format_profile
 from .export import (dump_json, load_trace, observability_document,
                      write_trace)
-from .bench import (BENCH_SCHEMA, DEFAULT_ECO_WORKLOAD, DEFAULT_WORKLOAD,
-                    QUICK_ECO_WORKLOAD, QUICK_WORKLOAD, REQUIRED_STAGES,
-                    BenchWorkload, ECOBenchWorkload, bench_filename,
-                    format_bench_summary, format_eco_summary, run_bench,
-                    run_eco_bench, validate_bench_report, write_bench_report)
 
 __all__ = [
     "Span", "Tracer", "get_tracer", "configure_from_env", "NULL_SPAN",
@@ -45,11 +42,6 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricRegistry", "get_metrics",
     "StageProfile", "aggregate_spans", "format_profile",
     "write_trace", "load_trace", "observability_document", "dump_json",
-    "BenchWorkload", "BENCH_SCHEMA", "REQUIRED_STAGES", "DEFAULT_WORKLOAD",
-    "QUICK_WORKLOAD", "run_bench", "write_bench_report",
-    "validate_bench_report", "bench_filename", "format_bench_summary",
-    "ECOBenchWorkload", "DEFAULT_ECO_WORKLOAD", "QUICK_ECO_WORKLOAD",
-    "run_eco_bench", "format_eco_summary",
 ]
 
 # Opt-in environment hook: REPRO_TRACE=path.jsonl enables the global tracer

@@ -7,7 +7,7 @@ Two interchange formats:
   :func:`write_trace`; :func:`load_trace` round-trips it.
 * **JSON documents** — a single object bundling aggregated stage timings
   and a metric snapshot (:func:`observability_document`), embedded in
-  ``BENCH_*.json`` and printed by ``repro report --json``.
+  the ``repro bench`` serve report and printed by ``repro report --json``.
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ def observability_document(tracer: Optional[Tracer] = None,
     """One JSON-safe object with aggregated stages + metric snapshot.
 
     This is the shared payload of ``repro report --json`` and the
-    ``observability`` section of ``BENCH_*.json``: per-span-name aggregate
-    timings (count, wall, CPU), the dropped-span count, and the full
-    counter/gauge/histogram snapshot.
+    ``observability`` section of the ``repro bench`` serve report:
+    per-span-name aggregate timings (count, wall, CPU), the dropped-span
+    count, and the full counter/gauge/histogram snapshot.
     """
     tracer = tracer if tracer is not None else get_tracer()
     registry = registry if registry is not None else get_metrics()

@@ -18,7 +18,9 @@ The contract is deliberately tiny:
   global edge set ``outer-name -> inner-name``.  Before an acquisition
   would *add* an edge whose reverse is already on record, it raises
   :class:`LockOrderInversion` — before blocking, so the offending ``with``
-  fails cleanly instead of deadlocking the test run.
+  fails cleanly instead of deadlocking the test run — and counts it in
+  :meth:`LockOrderWatchdog.inversions`, so a caller that catches the
+  error (a serve worker degrading the net) cannot hide it from a test.
 * Lock *names* match the static analyzer's node ids
   (``"PredictionCache._lock"`` for instance locks, the dotted module path
   for module-level locks), so a test can assert that the union of observed
@@ -67,6 +69,7 @@ class LockOrderWatchdog:
         self._mutex = threading.Lock()  # plain: guards the edge table only
         #: (outer, inner) -> "thread-name" of the first observation.
         self._edges: Dict[Tuple[str, str], str] = {}
+        self._inversions = 0
         self._held = threading.local()
 
     # -- per-thread held stack ------------------------------------------
@@ -94,6 +97,7 @@ class LockOrderWatchdog:
                     continue  # re-entrant RLock use: not an ordering edge
                 site = self._edges.get((name, outer))
                 if site is not None:
+                    self._inversions += 1
                     raise LockOrderInversion(outer, name, site)
 
     def note_acquired(self, name: str) -> None:
@@ -120,10 +124,16 @@ class LockOrderWatchdog:
         with self._mutex:
             return dict(self._edges)
 
+    def inversions(self) -> int:
+        """How many :class:`LockOrderInversion` errors were raised."""
+        with self._mutex:
+            return self._inversions
+
     def reset(self) -> None:
-        """Drop recorded edges (tests isolate themselves with this)."""
+        """Drop recorded edges and the inversion count (test isolation)."""
         with self._mutex:
             self._edges.clear()
+            self._inversions = 0
 
 
 class WatchedLock:

@@ -14,7 +14,7 @@ name:
   count/sum/min/max (MNA solve sizes, per-tier latencies).
 
 ``registry.snapshot()`` returns a plain JSON-safe dict, the layout embedded
-in ``BENCH_*.json`` and emitted by ``repro report --json``.
+in the ``repro bench`` serve report and emitted by ``repro report --json``.
 
 Thread safety: serve worker threads increment the same instruments
 concurrently, and ``self.count += 1`` is a read-modify-write the GIL may
@@ -178,7 +178,7 @@ class MetricRegistry:
 
     Instruments are created on first use and *zeroed in place* by
     :meth:`reset`, so module-level references cached at import time stay
-    valid across resets (the ``repro bench`` runner resets between stages).
+    valid across resets (``repro bench`` resets before its load run).
     Every access to the instrument maps runs under the registry lock —
     including the get path, because a lock-free ``dict.get`` racing a
     concurrent ``setdefault`` is exactly the pattern the concurrency lint

@@ -4,7 +4,7 @@ A raw trace holds one span per timed region instance (one per net, per
 epoch, per design ...); :func:`aggregate_spans` folds them into one
 :class:`StageProfile` per span *name* — call count, total/mean/max wall
 time, total CPU time — which is what humans read (``repro report
---profile``) and what ``BENCH_*.json`` stores per stage.
+--profile``) and what ``repro report --json`` stores per stage.
 
 Rendering is self-contained (no dependency on :mod:`repro.bench`) so the
 observability package stays importable without pulling in the model stack.

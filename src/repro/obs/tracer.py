@@ -10,7 +10,7 @@ The :class:`Tracer` is deliberately zero-dependency (stdlib only) and
 **disabled by default**: ``Tracer.span`` on a disabled tracer returns a
 shared no-op context manager, so instrumented hot paths pay one attribute
 check and nothing else.  Enable it explicitly (``get_tracer().enable()``),
-through the CLI (``repro bench``, ``repro report --profile``) or through the
+through the CLI (``repro report --profile``) or through the
 ``REPRO_TRACE=path.jsonl`` environment hook, which streams every finished
 span to a JSONL file.
 

@@ -171,11 +171,12 @@ class FallbackChain(WireTimingModel):
     last_resort:
         When ``True`` (default) a :class:`LumpedRCWireModel` terminal tier
         guarantees ``wire_timing`` always returns.
-    keep_records:
-        When ``True`` (default) every served net appends a
-        :class:`NetServeRecord` to :attr:`records`.  Long-lived callers
-        (the ``repro serve`` workers) pass ``False`` so memory stays
-        bounded; :attr:`last_record` and the counters are kept either way.
+
+    Provenance is kept per net, not per chain: each served net's
+    :class:`NetServeRecord` is returned by
+    :meth:`wire_timing_with_provenance`, the most recent one is
+    :attr:`last_record`, and :meth:`counters` totals the tiers, so a
+    long-lived chain holds a bounded amount of state.
 
     Counter and breaker bookkeeping is lock-guarded, so one chain may be
     shared by several threads: :meth:`counters` totals stay consistent
@@ -187,7 +188,7 @@ class FallbackChain(WireTimingModel):
                                              Tuple[str, WireTimingModel]]],
                  net_timeout: Optional[float] = None,
                  breaker_threshold: int = 5, breaker_cooldown: int = 25,
-                 last_resort: bool = True, keep_records: bool = True) -> None:
+                 last_resort: bool = True) -> None:
         if not tiers and not last_resort:
             raise ValueError("FallbackChain needs at least one tier")
         if net_timeout is not None and net_timeout <= 0.0:
@@ -211,8 +212,6 @@ class FallbackChain(WireTimingModel):
         self._breakers: Dict[str, _CircuitBreaker] = {
             name: _CircuitBreaker(breaker_threshold, breaker_cooldown)
             for name, _ in self._tiers}  # repro-guarded-by: _lock
-        self.keep_records = keep_records
-        self.records: List[NetServeRecord] = []  # repro-guarded-by: _lock
         self.last_record: Optional[NetServeRecord] = None  # repro-guarded-by: _lock
         self._lock = named_lock("FallbackChain._lock")
 
@@ -300,8 +299,6 @@ class FallbackChain(WireTimingModel):
             with self._lock:
                 breaker.record_success()
                 stats.served += 1
-                if self.keep_records:
-                    self.records.append(record)
                 self.last_record = record
             get_metrics().counter(f"fallback.served.{name}").inc()
             if failures:
@@ -370,7 +367,6 @@ class FallbackChain(WireTimingModel):
         with self._lock:
             for name in self.tier_names:
                 self.stats[name] = TierStats(name)
-            self.records.clear()
             self.last_record = None
 
     def degradation_report(self) -> str:

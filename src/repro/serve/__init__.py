@@ -7,8 +7,8 @@ request coalescing (:mod:`~repro.serve.batching`), shed-aware tier
 ladders (:mod:`~repro.serve.engine`), lifecycle probes + drain + worker
 supervision (:mod:`~repro.serve.lifecycle`), the HTTP front
 (:mod:`~repro.serve.server`), a retrying/hedging client
-(:mod:`~repro.serve.client`) and the ``repro bench --serve`` load
-generator (:mod:`~repro.serve.loadgen`).
+(:mod:`~repro.serve.client`) and the ``repro bench`` load generator
+(:mod:`~repro.serve.loadgen`).
 
 The service contract is **total termination**: every request admitted or
 rejected ends in exactly one terminal outcome — a prediction (possibly
@@ -37,10 +37,8 @@ _LAZY = {
     "Lifecycle": "lifecycle",
     "WorkerSupervisor": "lifecycle",
     "install_sigterm_drain": "lifecycle",
-    "DEFAULT_SERVE_WORKLOAD": "loadgen",
     "QUICK_SERVE_WORKLOAD": "loadgen",
     "THROUGHPUT_SERVE_WORKLOAD": "loadgen",
-    "SINGLE_SHOT_BASELINE_NETS_PER_S": "loadgen",
     "ServeWorkload": "loadgen",
     "format_serve_summary": "loadgen",
     "run_serve_bench": "loadgen",

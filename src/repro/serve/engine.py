@@ -162,13 +162,10 @@ class EstimationEngine:
             full.extend(extra_tiers)
         full.extend([AWEWireModel(), D2MWireModel(), ElmoreWireModel()])
         self._chains: Dict[int, FallbackChain] = {
-            SHED_FULL: FallbackChain(full, net_timeout=net_timeout,
-                                     keep_records=False),
+            SHED_FULL: FallbackChain(full, net_timeout=net_timeout),
             SHED_ANALYTIC: FallbackChain([ElmoreWireModel()],
-                                         net_timeout=net_timeout,
-                                         keep_records=False),
-            SHED_LAST_RESORT: FallbackChain([], last_resort=True,
-                                            keep_records=False),
+                                         net_timeout=net_timeout),
+            SHED_LAST_RESORT: FallbackChain([], last_resort=True),
         }
 
     def chain_for(self, shed_level: int) -> FallbackChain:

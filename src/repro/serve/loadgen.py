@@ -1,4 +1,4 @@
-"""``repro bench --serve``: closed-loop load generation against the service.
+"""``repro bench``: closed-loop load generation against the timing service.
 
 Spawns ``clients`` closed-loop threads, each posting ``requests_per_client``
 multi-net timing requests (seeded :func:`~repro.rcnet.topology.random_net`
@@ -8,13 +8,15 @@ reports latency percentiles from the same log2
 throughput and the terminal-outcome census.
 
 The census is the bench-side statement of the zero-lost-request invariant:
-``sent == ok + rejected + deadline + error + transport_failures`` must hold
-exactly, and the report records ``lost`` (any shortfall) so a regression
-shows up as a nonzero number in ``BENCH_<date>.json``, not a silent gap.
+``sent == ok + degraded + rejected + deadline + error + transport`` must
+hold exactly, and the report records ``lost`` (any shortfall) so a
+regression shows up as a nonzero number in ``SERVE_BENCH_<date>.json``
+(and a nonzero ``repro bench`` exit status), not a silent gap.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 import time
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs import get_metrics
-from ..obs.export import observability_document
+from ..obs.export import dump_json, observability_document
 from ..obs.metrics import Histogram
 from ..obs.tracer import get_tracer
 from .client import RetryPolicy, ServeClientError, TimingClient
@@ -31,10 +33,8 @@ from .protocol import ServeRequest, TimingQuery
 #: Terminal outcomes a request can land in (the census keys).
 OUTCOMES = ("ok", "degraded", "rejected", "deadline", "error", "transport")
 
-#: Pinned single-shot inference throughput (BENCH_2026-08-05.json,
-#: ``results.evaluate.throughput_nets_per_s``) the batched-service target
-#: is measured against; the serve report records the achieved multiple.
-SINGLE_SHOT_BASELINE_NETS_PER_S = 913.0
+#: Schema id of the report :func:`write_serve_report` writes.
+SERVE_BENCH_SCHEMA = "repro-serve-bench/1"
 
 
 @dataclass(frozen=True)
@@ -48,18 +48,16 @@ class ServeWorkload:
     net_nodes: Tuple[int, int] = (6, 24)
     deadline_ms: Optional[float] = 2000.0
     seed: int = 7
-    workers: int = 2   # service workers (recorded for comparability)
-    jobs: int = 1      # recorded; serve uses threads, not process jobs
+    workers: int = 2   # service worker threads
     #: Size of the shared query pool clients draw from.  ``None`` makes
     #: every query unique (cold-cache behavior); a finite pool models the
     #: incremental-timing access pattern — the same nets re-queried every
-    #: optimization iteration — which is what the prediction cache and the
-    #: batched-throughput target are about.
+    #: optimization iteration — which is what the prediction cache and
+    #: request batching are for.
     unique_queries: Optional[int] = None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "mode": "serve",
             "name": self.name,
             "clients": self.clients,
             "requests_per_client": self.requests_per_client,
@@ -68,22 +66,17 @@ class ServeWorkload:
             "deadline_ms": self.deadline_ms,
             "seed": self.seed,
             "workers": self.workers,
-            "jobs": self.jobs,
             "unique_queries": self.unique_queries,
         }
 
-
-#: Default load run (~200 requests, a couple of seconds).
-DEFAULT_SERVE_WORKLOAD = ServeWorkload(name="serve-default")
 
 #: CI smoke run: small enough for the serve-smoke job's time budget.
 QUICK_SERVE_WORKLOAD = ServeWorkload(
     name="serve-quick", clients=4, requests_per_client=6,
     nets_per_request=4, net_nodes=(5, 12))
 
-#: The batched-throughput gate: incremental-timing shape (shared pool of
-#: repeatedly re-queried nets, large coalesceable requests) against which
-#: the ">= 5x the 913 nets/s single-shot baseline" target is measured.
+#: The default run: incremental-timing shape (a shared pool of
+#: repeatedly re-queried nets, large coalesceable requests).
 THROUGHPUT_SERVE_WORKLOAD = ServeWorkload(
     name="serve-throughput", clients=6, requests_per_client=30,
     nets_per_request=48, net_nodes=(5, 14), workers=4, unique_queries=128)
@@ -185,10 +178,10 @@ def _run_client(host: str, port: int, workload: ServeWorkload,
                 stats.outcomes["error"] += 1
 
 
-def run_serve_bench(workload: ServeWorkload = DEFAULT_SERVE_WORKLOAD,
+def run_serve_bench(workload: ServeWorkload,
                     host: Optional[str] = None,
                     port: Optional[int] = None) -> Dict[str, Any]:
-    """Run the load workload; returns a serve-mode ``BENCH`` document.
+    """Run the load workload; returns the ``repro-serve-bench/1`` document.
 
     With no ``host``/``port`` an in-process service is started on an
     ephemeral port and torn down afterwards (the self-contained CI path);
@@ -243,22 +236,19 @@ def run_serve_bench(workload: ServeWorkload = DEFAULT_SERVE_WORKLOAD,
 
     import numpy as np
 
-    from ..parallel import worker_context
-
     document: Dict[str, Any] = {
-        "schema": "repro-bench/1",
+        "schema": SERVE_BENCH_SCHEMA,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "environment": {
             "python": sys.version.split()[0],
             "platform": platform.platform(),
             "numpy": np.__version__,
-            "mp_start_method": worker_context().get_start_method(),
-            "jobs": workload.jobs,
         },
         "workload": workload.to_dict(),
-        "stages": [{"name": "serve", "wall_s": wall_s, "cpu_s": cpu_s}],
         "results": {
             "serve": {
+                "wall_s": wall_s,
+                "cpu_s": cpu_s,
                 "requests_sent": sent,
                 "outcomes": outcomes,
                 "lost_requests": lost,
@@ -269,11 +259,6 @@ def run_serve_bench(workload: ServeWorkload = DEFAULT_SERVE_WORKLOAD,
                                           if wall_s > 0 else 0.0),
                 "throughput_requests_per_s": (answered / wall_s
                                               if wall_s > 0 else 0.0),
-                "single_shot_baseline_nets_per_s":
-                    SINGLE_SHOT_BASELINE_NETS_PER_S,
-                "speedup_vs_single_shot": (
-                    nets_ok / wall_s / SINGLE_SHOT_BASELINE_NETS_PER_S
-                    if wall_s > 0 else 0.0),
                 "latency_ms": {
                     "p50": (latency.percentile(50.0) * 1e3
                             if latency.count else 0.0),
@@ -291,10 +276,18 @@ def run_serve_bench(workload: ServeWorkload = DEFAULT_SERVE_WORKLOAD,
     return document
 
 
+def write_serve_report(document: Dict[str, Any], out_dir: str = ".") -> str:
+    """Write ``document`` as ``<out_dir>/SERVE_BENCH_<date>.json``."""
+    date = document["created_utc"][:10]
+    path = os.path.join(out_dir, f"SERVE_BENCH_{date}.json")
+    dump_json(document, path=path)
+    return path
+
+
 def format_serve_summary(document: Dict[str, Any]) -> str:
-    """Human digest printed after ``repro bench --serve``."""
+    """Human digest printed after ``repro bench``."""
     serve = document["results"]["serve"]
-    wall = document["stages"][0]["wall_s"]
+    wall = serve["wall_s"]
     lat = serve["latency_ms"]
     lines = [f"serve bench workload {document['workload']['name']!r} "
              f"({document['created_utc']})",
@@ -310,6 +303,6 @@ def format_serve_summary(document: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-__all__ = ["DEFAULT_SERVE_WORKLOAD", "OUTCOMES", "QUICK_SERVE_WORKLOAD",
+__all__ = ["OUTCOMES", "QUICK_SERVE_WORKLOAD", "SERVE_BENCH_SCHEMA",
            "THROUGHPUT_SERVE_WORKLOAD", "ServeWorkload",
-           "format_serve_summary", "run_serve_bench"]
+           "format_serve_summary", "run_serve_bench", "write_serve_report"]

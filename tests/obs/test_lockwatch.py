@@ -80,6 +80,22 @@ def test_inversion_raises_before_blocking(watchdog):
     assert "A' -> 'B'" in str(exc.value)
 
 
+def test_inversion_is_counted_until_reset(watchdog):
+    a = _watched("A", watchdog)
+    b = _watched("B", watchdog)
+    with a:
+        with b:
+            pass
+    assert watchdog.inversions() == 0
+    with b:
+        with pytest.raises(LockOrderInversion):
+            with a:
+                pass
+    assert watchdog.inversions() == 1
+    watchdog.reset()
+    assert watchdog.inversions() == 0
+
+
 def test_inversion_detected_across_threads(watchdog):
     """Thread 1 records A->B; thread 2's B->A attempt must raise even
     though the schedule never actually deadlocks (sequential phases)."""

@@ -251,8 +251,7 @@ class TestCounterThreadConsistency:
         import threading
 
         flaky = _Stub("raise")
-        chain = FallbackChain([flaky, _Stub("ok")], last_resort=True,
-                              keep_records=False)
+        chain = FallbackChain([flaky, _Stub("ok")], last_resort=True)
         nets = [chain_net(n) for n in (4, 5, 6, 7)]
         per_thread, threads_n = 50, 8
         errors = []

@@ -319,10 +319,11 @@ class TestDrainUnderLoad:
 class TestLockWatchdogChaos:
     """The runtime half of ``lint --concurrency``: a chaos-shaped load with
     every named lock instrumented.  Two assertions make this a gate —
-    the run itself stays inversion-free (an inversion raises inside a
-    worker and would surface as lost/error outcomes), and the observed
-    acquisition orders compose acyclically with the *static* lock graph,
-    so neither view hides a deadlock the other would catch."""
+    the run itself stays inversion-free (the watchdog counts every
+    inversion it raises, even one a serve worker catches and answers as
+    a degraded net), and the observed acquisition orders compose
+    acyclically with the *static* lock graph, so neither view hides a
+    deadlock the other would catch."""
 
     def test_watchdog_chaos_run_is_inversion_free_and_acyclic(
             self, monkeypatch):
@@ -346,7 +347,9 @@ class TestLockWatchdogChaos:
         finally:
             handle.stop(drain=True, timeout=10.0)
             observed = set(watchdog.edges())
+            inversions = watchdog.inversions()
             watchdog.reset()
+        assert inversions == 0, f"{inversions} lock-order inversion(s)"
         assert_zero_lost(census, 16)
         assert_total_termination(responses)
         assert census["ok"] + census["degraded"] == 16

@@ -1,27 +1,27 @@
-"""``repro bench --serve``: census integrity, schema, comparison rules."""
+"""``repro bench``: census integrity, report shape and exit status."""
 
 import copy
-import importlib.util
-import os
+import json
+import re
 
+import numpy as np
 import pytest
 
-from repro.obs.bench import validate_bench_report
+from repro.cli import main
+from repro.serve import loadgen
 from repro.serve.loadgen import (OUTCOMES, QUICK_SERVE_WORKLOAD,
-                                 SINGLE_SHOT_BASELINE_NETS_PER_S,
+                                 SERVE_BENCH_SCHEMA,
                                  THROUGHPUT_SERVE_WORKLOAD, ServeWorkload,
                                  _build_pool, _build_requests,
                                  format_serve_summary, run_serve_bench)
 
-_TOOLS = os.path.join(os.path.dirname(__file__), "..", "..", "tools",
-                      "compare_bench_results.py")
 
-
-def _compare_module():
-    spec = importlib.util.spec_from_file_location("compare_bench", _TOOLS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+@pytest.fixture(scope="module")
+def document():
+    tiny = ServeWorkload(name="serve-test", clients=2,
+                         requests_per_client=3, nets_per_request=2,
+                         net_nodes=(5, 9), workers=2)
+    return run_serve_bench(tiny)
 
 
 class TestWorkloadDeterminism:
@@ -55,105 +55,54 @@ class TestWorkloadDeterminism:
         assert len(keys) <= 4
 
     def test_workload_dict_declares_serve_mode(self):
+        # The schema id names the report kind; the workload block holds
+        # only the load knobs.
+        assert SERVE_BENCH_SCHEMA == "repro-serve-bench/1"
         doc = QUICK_SERVE_WORKLOAD.to_dict()
-        assert doc["mode"] == "serve"
         assert doc["name"] == "serve-quick"
+        assert "mode" not in doc and "jobs" not in doc
         assert THROUGHPUT_SERVE_WORKLOAD.to_dict()["unique_queries"] == 128
 
 
 class TestBenchRun:
-    @pytest.fixture(scope="class")
-    def document(self):
-        tiny = ServeWorkload(name="serve-test", clients=2,
-                             requests_per_client=3, nets_per_request=2,
-                             net_nodes=(5, 9), workers=2)
-        return run_serve_bench(tiny)
-
     def test_zero_lost_and_census_total(self, document):
         serve = document["results"]["serve"]
+        assert document["schema"] == SERVE_BENCH_SCHEMA
         assert serve["lost_requests"] == 0
         assert sum(serve["outcomes"].values()) == serve["requests_sent"] == 6
         assert set(serve["outcomes"]) == set(OUTCOMES)
 
-    def test_document_passes_schema_validation(self, document):
-        assert validate_bench_report(document) == []
-
     def test_environment_block_records_execution_config(self, document):
         env = document["environment"]
-        assert "mp_start_method" in env and "jobs" in env
-        assert env["jobs"] == 1
-
-    def test_speedup_is_relative_to_pinned_baseline(self, document):
-        serve = document["results"]["serve"]
-        assert (serve["single_shot_baseline_nets_per_s"]
-                == SINGLE_SHOT_BASELINE_NETS_PER_S)
-        assert serve["speedup_vs_single_shot"] == pytest.approx(
-            serve["throughput_nets_per_s"]
-            / SINGLE_SHOT_BASELINE_NETS_PER_S)
+        assert set(env) == {"python", "platform", "numpy"}
+        assert env["numpy"] == np.__version__
 
     def test_summary_renders(self, document):
         text = format_serve_summary(document)
         assert "serve-test" in text and "latency p50/p90/p99" in text
 
 
-class TestCompareTool:
-    @pytest.fixture()
-    def serve_doc(self):
-        return {
-            "workload": {"mode": "serve", "name": "t", "workers": 4,
-                         "jobs": 1},
-            "environment": {"mp_start_method": "fork", "jobs": 1},
-            "results": {"serve": {
-                "requests_sent": 10, "lost_requests": 0,
-                "nets_requested": 80,
-                "single_shot_baseline_nets_per_s": 913.0,
-                "throughput_nets_per_s": 5000.0,
-                "latency_ms": {"p50": 40.0}}}}
+class TestBenchCli:
+    def test_quick_bench_writes_report_and_exits_zero(self, tmp_path,
+                                                      capsys):
+        assert main(["bench", "--quick", "-o", str(tmp_path)]) == 0
+        [path] = tmp_path.iterdir()
+        assert re.fullmatch(r"SERVE_BENCH_\d{4}-\d{2}-\d{2}\.json",
+                            path.name)
+        report = json.loads(path.read_text())
+        assert report["schema"] == SERVE_BENCH_SCHEMA
+        assert path.name == f"SERVE_BENCH_{report['created_utc'][:10]}.json"
+        assert report["workload"]["name"] == "serve-quick"
+        assert report["results"]["serve"]["lost_requests"] == 0
+        assert "wrote" in capsys.readouterr().out
 
-    def test_pipeline_reports_stay_jobs_invariant(self):
-        compare = _compare_module()
-        a = {"workload": {"name": "q", "jobs": 1},
-             "results": {"dataset": {"n": 5},
-                         "evaluate": {"throughput_nets_per_s": 10.0}}}
-        b = copy.deepcopy(a)
-        b["workload"]["jobs"] = 2
-        b["results"]["evaluate"]["throughput_nets_per_s"] = 99.0
-        assert compare.check_comparable(a, b) == []
-        assert compare.compare_results(a["results"], b["results"]) == []
-
-    def test_pipeline_label_mismatch_detected(self):
-        compare = _compare_module()
-        a = {"results": {"dataset": {"n": 5}}}
-        b = {"results": {"dataset": {"n": 6}}}
-        lines = compare.compare_results(a["results"], b["results"])
-        assert lines and "dataset.n" in lines[0]
-
-    def test_serve_cross_config_rejected(self, serve_doc):
-        compare = _compare_module()
-        other = copy.deepcopy(serve_doc)
-        other["environment"]["mp_start_method"] = "spawn"
-        problems = compare.check_comparable(serve_doc, other)
-        assert any("mp_start_method" in p for p in problems)
-        workers = copy.deepcopy(serve_doc)
-        workers["workload"]["workers"] = 8
-        assert compare.check_comparable(serve_doc, workers)
-
-    def test_mode_mismatch_rejected(self, serve_doc):
-        compare = _compare_module()
-        pipeline = {"workload": {"name": "q"}, "results": {}}
-        problems = compare.check_comparable(serve_doc, pipeline)
-        assert any("mode mismatch" in p for p in problems)
-
-    def test_serve_compares_census_not_throughput(self, serve_doc):
-        compare = _compare_module()
-        other = copy.deepcopy(serve_doc)
-        other["results"]["serve"]["throughput_nets_per_s"] = 1.0
-        other["results"]["serve"]["latency_ms"]["p50"] = 999.0
-        assert compare.compare_results(serve_doc["results"],
-                                       other["results"],
-                                       mode="serve") == []
-        lost = copy.deepcopy(serve_doc)
-        lost["results"]["serve"]["lost_requests"] = 3
-        lines = compare.compare_results(serve_doc["results"],
-                                        lost["results"], mode="serve")
-        assert any("lost_requests" in line for line in lines)
+    def test_lost_request_exits_one(self, tmp_path, monkeypatch, document,
+                                    capsys):
+        lossy = copy.deepcopy(document)
+        lossy["results"]["serve"]["outcomes"]["ok"] -= 1
+        lossy["results"]["serve"]["lost_requests"] = 1
+        monkeypatch.setattr(loadgen, "run_serve_bench",
+                            lambda workload, host=None, port=None: lossy)
+        assert main(["bench", "--quick", "-o", str(tmp_path)]) == 1
+        assert "1 request(s) lost" in capsys.readouterr().err
+        assert len(list(tmp_path.iterdir())) == 1  # the report is kept
