@@ -179,9 +179,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="CI-sized workload (about a second)")
     p.add_argument("--host", default=None,
                    help="target an already-running server instead of an "
-                        "in-process one")
+                        "in-process one (needs --port)")
     p.add_argument("--port", type=int, default=None,
-                   help="port of the external server")
+                   help="port of the external server (needs --host)")
     p.add_argument("-o", "--outdir", default=".",
                    help="directory for SERVE_BENCH_<date>.json "
                         "(default: cwd)")
@@ -479,6 +479,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                                 format_serve_summary, run_serve_bench,
                                 write_serve_report)
 
+    if (args.host is None) != (args.port is None):
+        print("error: --host and --port name an external server together; "
+              "give both or neither", file=sys.stderr)
+        return 2
     workload = QUICK_SERVE_WORKLOAD if args.quick \
         else THROUGHPUT_SERVE_WORKLOAD
     document = run_serve_bench(workload, host=args.host, port=args.port)

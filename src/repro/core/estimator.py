@@ -14,11 +14,11 @@ import contextlib
 import time
 from dataclasses import dataclass, replace
 from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
-from ..design.sta import WireBinding, WireTimingModel
+from ..design.sta import BindRequest, WireBinding, WireTimingModel
 from ..obs import get_metrics, get_tracer
 from ..robustness.errors import InputError, ModelError
 from ..features.path_features import PATH_FEATURE_NAMES, NetContext
@@ -32,7 +32,7 @@ from ..nn.trainer import Trainer, TrainingHistory
 from ..parallel import parallel_map
 from ..rcnet.graph import RCNet
 from .config import DEFAULT_CONFIG, GNNTransConfig
-from .gnntrans import GNNTrans
+from .gnntrans import GNNTrans, PathForward
 
 _PS = 1e-12
 # Bound on the in-memory prediction provenance log (old entries are dropped
@@ -40,9 +40,8 @@ _PS = 1e-12
 _MAX_PROVENANCE_RECORDS = 4096
 
 ModelFactory = Callable[[int, int, GNNTransConfig, np.random.Generator], Module]
-#: A model's per-call half from ``bind``: one net's path records ->
-#: (slew, delay), each (1, P) as from a pack of one.
-PathForward = Callable[[Sequence[PathRecord]], Tuple[Tensor, Tensor]]
+#: A model's ``bind_many``: each net's per-call half, a :data:`PathForward`.
+BindMany = Callable[[Sequence[NetSample]], List[PathForward]]
 #: Per-path ``(slew_ps, delay_ps)`` of one net from its path records, from
 #: :meth:`WireTimingEstimator.bind_sample`.
 PathPredictor = Callable[[Sequence[PathRecord]], Tuple[np.ndarray, np.ndarray]]
@@ -178,15 +177,16 @@ def _packed_mse(model: Module, targets: Sequence[_Target]) -> Tensor:
             * Tensor(weight)).sum()
 
 
-def _forward_per_call(model: Module) -> Callable[[NetSample], PathForward]:
-    """``bind`` for a model without one: its whole forward on every call.
+def _forward_per_call(model: Module) -> BindMany:
+    """``bind_many`` for a model without one: its whole forward, per net,
+    on every call.
 
     The graph baselines need this, because ``baseline_node_inputs``
     broadcasts the input slew onto every node, so their encoders read it.
     """
     def bind(sample: NetSample) -> PathForward:
         return lambda paths: model(replace(sample, paths=list(paths)))
-    return bind
+    return lambda samples: [bind(sample) for sample in samples]
 
 
 class WireTimingEstimator:
@@ -306,32 +306,58 @@ class WireTimingEstimator:
 
         The returned function takes this net's path records at any input
         slew, as a sample built at that slew holds them, and returns what
-        :meth:`predict_sample` would.  The net runs as a pack of one.  A
-        model with a ``bind`` method (GNNTrans) runs its slew-free half
-        here, once, and the function keeps only what the rest reads, not
-        the sample's graph.  Other models run their whole forward on every
-        call.  When the slew-free half raises, every call degrades to tier
-        ``"label-prior"``, as :meth:`predict_sample` does.
+        :meth:`predict_sample` would.  The net runs as a pack of one of
+        :meth:`bind_samples`.
+        """
+        return self.bind_samples([sample])[0]
+
+    def bind_samples(self, samples: Sequence[NetSample]
+                     ) -> List[PathPredictor]:
+        """:meth:`bind_sample` of many nets, their slew-free halves packed.
+
+        A model with a ``bind_many`` method (GNNTrans) runs the slew-free
+        half of every net here, in one call whose packs leave each net
+        bitwise its pack of one, and each function keeps only what the
+        rest reads, not the sample's graph.  Other models run their whole
+        forward on every call.  When the call raises, each net is re-run
+        alone, as in :meth:`_predict_pack`; a net whose slew-free half
+        raises alone degrades to tier ``"label-prior"`` on every call, as
+        :meth:`predict_sample` does.
         """
         self._require_fitted()
-        net, design = sample.name, sample.design
-        bind = getattr(self.model, "bind", None) \
+        bind_many = getattr(self.model, "bind_many", None) \
             or _forward_per_call(self.model)
+        return [self._predictor(sample, forward) for sample, forward
+                in zip(samples, self._bind_pack(bind_many, samples))]
+
+    def _bind_pack(self, bind_many: BindMany, samples: Sequence[NetSample]
+                   ) -> List[Union[PathForward, str]]:
+        """Each net's slew-free half from one ``bind_many`` call, or the
+        reason its net alone failed."""
         try:
             with self._eval_mode():
-                forward = bind(sample)
+                return list(bind_many(samples))
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:  # degraded-but-valid beats an aborted run
-            reason = str(ModelError(
+            if len(samples) > 1:
+                return [out for sample in samples
+                        for out in self._bind_pack(bind_many, [sample])]
+            return [str(ModelError(
                 f"inference failed: {type(exc).__name__}: {exc}",
-                net=net, design=design, stage="predict",
-                tier="label-prior", cause=exc))
+                net=samples[0].name, design=samples[0].design,
+                stage="predict", tier="label-prior", cause=exc))]
 
+    def _predictor(self, sample: NetSample,
+                   forward: Union[PathForward, str]) -> PathPredictor:
+        """One net's :data:`PathPredictor` from its slew-free half, or
+        from the reason its slew-free half failed."""
+        net, design = sample.name, sample.design
+        if isinstance(forward, str):
             def degraded(paths: Sequence[PathRecord]
                          ) -> Tuple[np.ndarray, np.ndarray]:
                 _PREDICTIONS.inc()
-                return self._degrade(net, design, paths, reason)
+                return self._degrade(net, design, paths, forward)
             return degraded
         return lambda paths: self._predict_with(forward, net, design, paths)
 
@@ -550,6 +576,13 @@ def _predict_worker(samples: List[NetSample]) -> List[_NetPrediction]:
     return _WORKER_ESTIMATOR._predict_pack(samples)
 
 
+def _raising(exc: Exception) -> WireBinding:
+    """A binding whose every call raises ``exc``."""
+    def timing(input_slew: float) -> Tuple[np.ndarray, np.ndarray]:
+        raise exc
+    return timing
+
+
 class LearnedWireModel(WireTimingModel):
     """Adapter exposing a trained estimator as an STA wire-delay engine.
 
@@ -576,22 +609,61 @@ class LearnedWireModel(WireTimingModel):
              context: Optional[NetContext] = None) -> WireBinding:
         """Build, scale and encode the net once; each call re-slews it.
 
-        The net's sample is built and scaled here, and
-        :meth:`WireTimingEstimator.bind_sample` runs the model's slew-free
-        half on it.  Each call writes its input slew into the scaled
-        input-slew path feature and each path's ``input_slew_ps``, then
-        runs only the per-slew half, so it returns bitwise what a sample
-        built at that slew gives.
+        A :meth:`bind_many` of one request.
         """
-        if context is None:
-            raise InputError(
-                "LearnedWireModel needs the cell context; run it through "
-                "STAEngine, which provides one", net=net.name,
-                stage="predict")
-        sample = build_net_sample(net, context, labeled=False)
-        sample = self.feature_scaler.transform([sample])[0]
-        predict = self.estimator.bind_sample(sample)
-        paths = sample.paths
+        return self.bind_many([BindRequest(net, sink_loads, drive_resistance,
+                                           context)])[0]
+
+    def bind_many(self, requests: Sequence[BindRequest]
+                  ) -> List[WireBinding]:
+        """Build, scale and encode every request's net; each call of a
+        binding re-slews its net.
+
+        The samples are built with the moments of all nets from one
+        size-grouped pass (``analyze_nets_for_features``, bitwise the
+        per-net computation), scaled, and bound by one
+        :meth:`WireTimingEstimator.bind_samples` call, which packs the
+        model's slew-free halves.  Each call writes its input slew into
+        the scaled input-slew path feature and each path's
+        ``input_slew_ps``, then runs only the per-slew half, so it returns
+        bitwise what a sample built at that slew gives.  A net whose
+        sample cannot be built gets a binding that raises the build's
+        error, so the stage that needs it fails as an eager build would.
+        """
+        from ..features.path_features import analyze_nets_for_features
+
+        for request in requests:
+            if request.context is None:
+                raise InputError(
+                    "LearnedWireModel needs the cell context; run it "
+                    "through STAEngine, which provides one",
+                    net=request.net.name, stage="predict")
+        analyses = analyze_nets_for_features(
+            [(r.net, r.context.sink_loads()) for r in requests])
+        bindings: Dict[int, WireBinding] = {}
+        built: List[int] = []
+        samples: List[NetSample] = []
+        for index, (request, analysis) in enumerate(zip(requests, analyses)):
+            try:
+                samples.append(build_net_sample(
+                    request.net, request.context, labeled=False,
+                    analysis=analysis))
+            except (KeyboardInterrupt, SystemExit):
+                raise
+            except Exception as exc:  # repro-lint: disable=ERR002 re-raised by the net's binding
+                bindings[index] = _raising(exc)
+                continue
+            built.append(index)
+        samples = self.feature_scaler.transform(samples)
+        for index, sample, predict in zip(
+                built, samples, self.estimator.bind_samples(samples)):
+            bindings[index] = self._reslewed(requests[index].net.name,
+                                             sample.paths, predict)
+        return [bindings[index] for index in range(len(requests))]
+
+    def _reslewed(self, net: str, paths: Sequence[PathRecord],
+                  predict: PathPredictor) -> WireBinding:
+        """One net's binding: ``predict`` at each call's input slew."""
         mean = self.feature_scaler.path_mean[_SLEW_COLUMN]
         std = self.feature_scaler.path_std[_SLEW_COLUMN]
 
@@ -608,8 +680,7 @@ class LearnedWireModel(WireTimingModel):
             if not (np.all(np.isfinite(slew_ps))
                     and np.all(np.isfinite(delay_ps))):
                 raise ModelError("learned prediction is non-finite",
-                                 net=net.name, stage="predict",
-                                 tier=self.name)
+                                 net=net, stage="predict", tier=self.name)
             return delay_ps * _PS, slew_ps * _PS
         return timing
 

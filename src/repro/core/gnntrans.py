@@ -21,22 +21,27 @@ pack of nets as zero-padded per-net slices, and emits predictions in the
 Only the path features of step 3 carry the input slew.  :meth:`GNNTrans.bind`
 therefore runs steps 1-3's mean pooling once per net, and each new slew
 pays only for the path-feature join and the heads.
+:meth:`GNNTrans.bind_many` does so for many nets in one encoder pass per
+node count.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..features.pipeline import NetBatch, NetSample, PathRecord, pack
 from ..nn.layers import Module
-from ..nn.tensor import Tensor, concat
+from ..nn.tensor import Tensor, concat, matmul_const
 from .config import DEFAULT_CONFIG, GNNTransConfig
 from .gnn_layer import GNNModule
 from .heads import TimingHeads
 from .pooling import pool_paths
 from .transformer_layer import TransformerModule
+
+#: One net's forward from its path records, each output (1, P).
+PathForward = Callable[[Sequence[PathRecord]], Tuple[Tensor, Tensor]]
 
 
 class GNNTrans(Module):
@@ -108,8 +113,7 @@ class GNNTrans(Module):
         batch = self._packed(batch)
         return self.join_path_features(self.pool(batch), batch.path_features)
 
-    def bind(self, sample: NetSample
-             ) -> Callable[[Sequence[PathRecord]], Tuple[Tensor, Tensor]]:
+    def bind(self, sample: NetSample) -> PathForward:
         """:meth:`forward` of one net, split at the input-slew boundary.
 
         Runs :meth:`pool` on ``sample`` as a pack of one, once, and returns
@@ -117,7 +121,33 @@ class GNNTrans(Module):
         as a function of the net's path records.  Their features, the
         input slew among them, may differ from ``sample``'s.
         """
-        pooled = self.pool(self.pack([sample]))
+        return self.bind_many([sample])[0]
+
+    def bind_many(self, samples: Sequence[NetSample]) -> List[PathForward]:
+        """:meth:`bind` of each sample, with one encoder pass per node count.
+
+        Nets of one node count share a pack without node padding, and
+        each is pooled over its own path rows alone, so each function is
+        bitwise its net's pack of one.  Padding would break that: padded
+        nodes change the attention softmax's row sums, and padded path
+        rows the row tail of a shared pooling matmul.
+        """
+        groups: Dict[int, List[int]] = {}
+        for index, sample in enumerate(samples):
+            groups.setdefault(sample.num_nodes, []).append(index)
+        forwards: Dict[int, PathForward] = {}
+        for members in groups.values():
+            batch = self.pack([samples[i] for i in members])
+            nodes = self.encode(batch).data
+            for b, index in enumerate(members):
+                paths = samples[index].num_paths
+                forwards[index] = self._heads_at(matmul_const(
+                    batch.mean_pool[b:b + 1, :paths],
+                    Tensor(nodes[b:b + 1])))
+        return [forwards[index] for index in range(len(samples))]
+
+    def _heads_at(self, pooled: Tensor) -> PathForward:
+        """The heads on one net's (1, P, hidden) pooled rows."""
         return lambda paths: self.heads(self.join_path_features(
             pooled, np.vstack([p.features for p in paths])[None]))
 

@@ -13,8 +13,9 @@ from .benchmarks import (DEFAULT_SCALE, PAPER_BENCHMARKS, TEST_BENCHMARKS,
                          benchmark_spec, generate_benchmark)
 from .paths import (count_netlist_paths, max_wire_paths, path_count_sweep,
                     wire_path_histogram)
-from .sta import (AWEWireModel, D2MWireModel, ElmoreWireModel, GoldenWireModel, PathTiming,
-                  STAEngine, STAReport, StageTiming, WireTimingModel)
+from .sta import (AWEWireModel, BindRequest, D2MWireModel, ElmoreWireModel,
+                  GoldenWireModel, PathTiming, STAEngine, STAReport,
+                  StageTiming, WireTimingModel)
 from .verilog import (ParsedInstance, ParsedModule, VerilogError,
                       connectivity_from_module, parse_verilog, write_verilog)
 from .interchange import InterchangeError, export_design, import_design
@@ -33,8 +34,8 @@ __all__ = [
     "generate_benchmark",
     "count_netlist_paths", "wire_path_histogram", "max_wire_paths",
     "path_count_sweep",
-    "WireTimingModel", "GoldenWireModel", "ElmoreWireModel", "D2MWireModel",
-    "AWEWireModel",
+    "WireTimingModel", "BindRequest", "GoldenWireModel", "ElmoreWireModel",
+    "D2MWireModel", "AWEWireModel",
     "STAEngine", "STAReport", "PathTiming", "StageTiming",
     "write_verilog", "parse_verilog", "connectivity_from_module",
     "ParsedModule", "ParsedInstance", "VerilogError",

@@ -219,8 +219,7 @@ class ECOTimingEngine:
     # -- baseline ----------------------------------------------------------
     def full_pass(self) -> List[PathTiming]:
         """Time every recorded path, fill the memo, build the cone index."""
-        self._results = [self.engine.path_arrival(path)
-                         for path in self.netlist.paths]
+        self._results = self.engine.analyze_paths()
         self._cone_index = {}
         self._index_paths(range(len(self.netlist.paths)))
         return list(self._results)
@@ -259,7 +258,9 @@ class ECOTimingEngine:
 
         Drops exactly the stage-memo entries for the edit's dirty nets
         (and the dead eigensolve, when the edit rewrote an RC network),
-        then re-times the union of the dirty nets' fanout cones and the
+        re-binds the dirty nets that lie on timed paths in one
+        :meth:`~repro.design.sta.WireTimingModel.bind_many` call, then
+        re-times the union of the dirty nets' fanout cones and the
         structurally rewritten paths.  Everything else is served from
         the warm memo.
         """
@@ -273,6 +274,8 @@ class ECOTimingEngine:
             # Structural edits changed these paths' stage lists; refresh
             # their cone-index rows before computing the dirty set.
             self._reindex_paths(edit.rewritten_paths)
+        self.engine.bind_nets(name for name in edit.dirty_nets
+                              if self._cone_index.get(name))
         dirty = self.cone(edit.dirty_nets) | set(edit.rewritten_paths)
         hits_before = self.engine.hits
         for index in sorted(dirty):

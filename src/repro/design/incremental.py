@@ -84,8 +84,13 @@ class IncrementalSTAEngine(StageTimer):
 
     def analyze_paths(self, paths: Optional[List[TimingPath]] = None
                       ) -> List[PathTiming]:
-        """Arrival times for ``paths`` (default: all recorded paths)."""
+        """Arrival times for ``paths`` (default: all recorded paths).
+
+        The nets of ``paths`` not bound yet are bound first, in one
+        :meth:`~repro.design.sta.WireTimingModel.bind_many` call.
+        """
         paths = paths if paths is not None else self.netlist.paths
+        self.bind_nets(stage.net for path in paths for stage in path.stages)
         return [self.path_arrival(p) for p in paths]
 
     @property

@@ -14,7 +14,8 @@ import math
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -65,6 +66,18 @@ def resolve_arc_pin(cell: Cell, input_pin: str, *, net: Optional[str] = None,
 WireBinding = Callable[[float], Tuple[np.ndarray, np.ndarray]]
 
 
+class BindRequest(NamedTuple):
+    """One net for :meth:`WireTimingModel.bind_many`: the arguments of
+    :meth:`WireTimingModel.bind`.  It also serves as the
+    :class:`~repro.analysis.batch.WirePrimeRequest` of a ``prime_nets``
+    pass."""
+
+    net: RCNet
+    sink_loads: np.ndarray  # farads, aligned with net.sinks
+    drive_resistance: float  # ohms
+    context: Optional[NetContext] = None
+
+
 class WireTimingModel(ABC):
     """Interface every wire-delay engine exposes to the STA core."""
 
@@ -96,6 +109,17 @@ class WireTimingModel(ABC):
             return self.wire_timing(net, input_slew, sink_loads,
                                     drive_resistance, context=at_slew)
         return timing
+
+    def bind_many(self, requests: Sequence[BindRequest]
+                  ) -> List[WireBinding]:
+        """:meth:`bind` of many nets in one call, one binding per request.
+
+        A model overrides this to share slew-free work across nets; each
+        binding must equal its request's :meth:`bind` bitwise, so a net
+        bound alone (an ECO edit, a lazy miss) times exactly as it does
+        bound with others (a cold pass).  This default maps :meth:`bind`.
+        """
+        return [self.bind(*request) for request in requests]
 
     @property
     def name(self) -> str:
@@ -140,6 +164,13 @@ class GoldenWireModel(WireTimingModel):
         from ..analysis.batch import prime_solve_cache
 
         return prime_solve_cache(requests)
+
+    def bind_many(self, requests: Sequence[BindRequest]
+                  ) -> List[WireBinding]:
+        """Bindings whose calls hit the solve cache, filled for every
+        request by one :meth:`prime_nets` pass first."""
+        self.prime_nets(requests)
+        return super().bind_many(requests)
 
 
 class ElmoreWireModel(WireTimingModel):
@@ -187,6 +218,13 @@ class AWEWireModel(WireTimingModel):
 
         return prime_awe(requests)
 
+    def bind_many(self, requests: Sequence[BindRequest]
+                  ) -> List[WireBinding]:
+        """Bindings whose calls hit the AWE step cache, filled for every
+        request by one :meth:`prime_nets` pass first."""
+        self.prime_nets(requests)
+        return super().bind_many(requests)
+
 
 class D2MWireModel(WireTimingModel):
     """Two-moment analytical wire timing (less pessimistic than Elmore)."""
@@ -233,10 +271,10 @@ class STAReport:
 
     ``gate_seconds`` and ``wire_seconds`` reproduce the runtime columns of
     Table V: time spent in library lookups/ceff reduction versus in the
-    wire-timing engine.  The wire column is the wire model's per-net
-    binding (:meth:`WireTimingModel.bind`, which holds a learned model's
-    feature extraction and encoder) plus its per-slew calls, and any
-    ``prime_nets`` batch.
+    wire-timing engine.  The wire column is the wire model's
+    :meth:`WireTimingModel.bind_many` call, which binds every net of the
+    pass at once (a learned model's feature extraction and encoder, an
+    analytic model's batched solves), plus its per-slew calls.
     """
 
     design: str
@@ -277,17 +315,21 @@ class StageTimer:
     Timing paths share prefixes, so a stage reached by many paths is
     computed once and replayed on every later visit.  A second memo,
     under :data:`NetKey`, holds each net's slew-free work: its effective
-    capacitance and the models' bindings (:meth:`WireTimingModel.bind`).
-    A stage miss on a net already bound costs one NLDM lookup plus one
-    binding call.  A cold :class:`STAEngine` pass is this kernel run from
-    empty memos; :class:`~repro.design.incremental.IncrementalSTAEngine`
-    is this kernel with its memos kept across calls.
+    capacitance and the models' bindings.  :meth:`bind_nets` fills it
+    with one :meth:`WireTimingModel.bind_many` call per model for a whole
+    pass, or for an edit's dirty nets; a stage on a net not bound yet
+    binds it alone.  A stage miss on a bound net costs one NLDM lookup
+    plus one binding call.  A cold :class:`STAEngine` pass is this kernel
+    run from empty memos;
+    :class:`~repro.design.incremental.IncrementalSTAEngine` is this
+    kernel with its memos kept across calls.
 
     Parameters are those of :class:`STAEngine`, except that pins default
     to strict.  ``hits`` and ``misses`` count stage-memo lookups, and
-    ``wire_seconds`` is the time spent inside ``wire_model`` on the
-    missed stages, its bind calls included: the wire column of Table V.
-    Effective capacitance counts in the gate column.
+    ``wire_seconds`` is the time spent inside ``wire_model``: its
+    ``bind_many`` calls plus its per-slew calls on the missed stages, the
+    wire column of Table V.  Effective capacitance counts in the gate
+    column.
     """
 
     def __init__(self, netlist: Netlist, wire_model: WireTimingModel,
@@ -327,19 +369,11 @@ class StageTimer:
         # Computed outside the lock: two threads missing on the same key
         # may both compute it (identical results; last store wins), which
         # beats serializing every wire-timing evaluation.
-        net = self.netlist.nets[stage.net]
         if bound is None:
-            sink_loads = self.netlist.sink_loads(net)
-            load = effective_capacitance(net.rcnet, gate.cell.drive_resistance,
-                                         sink_loads)
-        else:
-            load = bound[0]
-        gate_delay, drive_slew = gate.cell.delay_and_slew(slew, load, pin)
+            bound = self._bind([(key[:2], gate.cell)])[0]
+        gate_delay, drive_slew = gate.cell.delay_and_slew(slew, bound[0], pin)
         start = time.perf_counter()
         try:
-            if bound is None:
-                bound = self._bind(key[:2], gate.cell, load, sink_loads,
-                                   drive_slew)
             delays, slews = bound[1](drive_slew)
         except EstimationError:
             raise  # already typed with provenance
@@ -360,20 +394,50 @@ class StageTimer:
             self.wire_seconds += wire_seconds
         return entry
 
-    def _bind(self, key: NetKey, cell: Cell, load: float,
-              sink_loads: np.ndarray, drive_slew: float) -> NetEntry:
-        """Bind the models to net ``key[0]`` driven by ``cell``; memoize."""
-        net = self.netlist.nets[key[0]]
-        context = NetContext(
-            input_slew=drive_slew, drive_cell=cell,
-            load_cells=[self.netlist.gates[l.gate].cell for l in net.loads])
-        bind_args = (net.rcnet, sink_loads, cell.drive_resistance, context)
-        bound = (load, self.wire_model.bind(*bind_args),
-                 None if self.slew_model is None
-                 else self.slew_model.bind(*bind_args))
+    def bind_nets(self, names: Iterable[str]) -> None:
+        """Bind the models to each named net and its current driver.
+
+        Nets already in the net memo are skipped, and the rest are bound
+        with one :meth:`WireTimingModel.bind_many` call per model.
+        """
+        todo: Dict[NetKey, Cell] = {}
+        for name in names:
+            cell = self.netlist.gates[self.netlist.nets[name].driver].cell
+            todo[(name, cell.name)] = cell
         with self._lock:
-            self._nets[key] = bound
-        return bound
+            todo = {key: cell for key, cell in todo.items()
+                    if key not in self._nets}
+        if todo:
+            self._bind(list(todo.items()))
+
+    def _bind(self, todo: Sequence[Tuple[NetKey, Cell]]) -> List[NetEntry]:
+        """Bind the models to each ``(net, driver cell)`` of ``todo`` with
+        one ``bind_many`` call per model; memoize and return the entries."""
+        loads: List[float] = []
+        requests: List[BindRequest] = []
+        for (name, _), cell in todo:
+            net = self.netlist.nets[name]
+            sink_loads = self.netlist.sink_loads(net)
+            loads.append(effective_capacitance(
+                net.rcnet, cell.drive_resistance, sink_loads))
+            # Bindings take their slew per call; the context's is unused.
+            context = NetContext(
+                input_slew=self.launch_slew, drive_cell=cell,
+                load_cells=[self.netlist.gates[l.gate].cell
+                            for l in net.loads])
+            requests.append(BindRequest(net.rcnet, sink_loads,
+                                        cell.drive_resistance, context))
+        start = time.perf_counter()
+        wire = self.wire_model.bind_many(requests)
+        slew: Sequence[Optional[WireBinding]] = [None] * len(requests) \
+            if self.slew_model is None \
+            else self.slew_model.bind_many(requests)
+        wire_seconds = time.perf_counter() - start
+        entries = list(zip(loads, wire, slew))
+        with self._lock:
+            self._nets.update(zip((key for key, _ in todo), entries))
+            self.wire_seconds += wire_seconds
+        return entries
 
     def path_arrival(self, path: TimingPath) -> PathTiming:
         """Arrival time at the path endpoint, with per-stage breakdown."""
@@ -458,14 +522,17 @@ class STAEngine:
     def analyze_design(self, jobs: int = 1) -> STAReport:
         """Arrival times of every recorded path, with a runtime split.
 
-        The wire column is the time spent inside the wire model, timed
-        by the stage kernel around each computed stage; the gate column
-        is the rest of the per-path compute time, mirroring Table V's
-        Gate/Wire columns.
+        The serial pass binds every net of its paths in one
+        :meth:`WireTimingModel.bind_many` call, then times the paths.
+        The wire column is the time spent inside the wire model, that
+        call plus the per-slew calls of each computed stage; the gate
+        column is the rest of the pass, mirroring Table V's Gate/Wire
+        columns.
 
         ``jobs > 1`` analyzes paths across worker processes (the netlist
         and wire model ship to each worker once, and each worker keeps
-        its own stage memo).  Arrival times and the per-stage tier
+        its own stage memo and binds each net on its first stage).
+        Arrival times and the per-stage tier
         provenance in the report are identical to the serial path;
         in-model degradation counters (e.g. a FallbackChain's ``stats``)
         accumulate inside the workers and are not merged back — read
@@ -477,17 +544,15 @@ class STAEngine:
                                wire_model=model.name,
                                paths=len(paths), jobs=jobs) as span:
             if jobs == 1 or len(paths) < 2:
-                # Serial runs see every stage up front: collect the unique
-                # (net, driver) pairs across all paths and let batch-aware
-                # wire models fill their caches in one stacked pass.  The
-                # prime time is charged to the wire column below — it is
-                # wire work, just hoisted.
-                prime_seconds = self._prime_wire_models(paths)
+                # Serial runs see every stage up front, so every net of
+                # the pass is bound in one bind_many call.
                 timer = self._timer()
                 start = time.perf_counter()
+                timer.bind_nets(stage.net for path in paths
+                                for stage in path.stages)
                 timings = [timer.path_arrival(p) for p in paths]
-                total = time.perf_counter() - start + prime_seconds
-                wire_seconds = timer.wire_seconds + prime_seconds
+                total = time.perf_counter() - start
+                wire_seconds = timer.wire_seconds
             else:
                 results = parallel_map(
                     _timed_path, list(range(len(paths))), jobs=jobs,
@@ -511,39 +576,6 @@ class STAEngine:
             gate_seconds=total - wire_seconds,
             wire_seconds=wire_seconds,
         )
-
-    def _prime_wire_models(self, paths: Sequence[TimingPath]) -> float:
-        """Bulk-fill wire-model caches before the per-stage queries.
-
-        Duck-typed: models (and fallback chains) exposing ``prime_nets``
-        get the unique (net, driver) pairs of every stage; plain models
-        cost nothing.  Returns the seconds spent priming.
-        """
-        primers = [primer for primer in
-                   (getattr(self.wire_model, "prime_nets", None),
-                    getattr(self.slew_model, "prime_nets", None))
-                   if primer is not None]
-        if not primers or not paths:
-            return 0.0
-        from ..analysis.batch import WirePrimeRequest
-
-        requests = []
-        seen = set()
-        for path in paths:
-            for stage in path.stages:
-                gate = self.netlist.gates[stage.gate]
-                dedupe = (stage.net, gate.cell.drive_resistance)
-                if dedupe in seen:
-                    continue
-                seen.add(dedupe)
-                net = self.netlist.nets[stage.net]
-                requests.append(WirePrimeRequest(
-                    net.rcnet, self.netlist.sink_loads(net),
-                    gate.cell.drive_resistance))
-        start = time.perf_counter()
-        for primer in primers:
-            primer(requests)
-        return time.perf_counter() - start
 
 
 # Per-worker stage kernel installed once by the pool initializer, so the

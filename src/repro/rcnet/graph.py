@@ -135,6 +135,8 @@ class RCNet:
         self.couplings: Tuple[CouplingCap, ...] = tuple(couplings)
         self._validate()
         self._adjacency: Optional[List[List[Tuple[int, int]]]] = None
+        # Memo of repro.rcnet.paths.shortest_path_tree's resistance tree.
+        self._shortest_paths: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Validation

@@ -53,17 +53,33 @@ class WirePath:
         return len(self.nodes)
 
 
+#: ``(distance, parent_node, parent_edge)``, each indexed by node.
+ShortestPathTree = Tuple[Tuple[float, ...], Tuple[int, ...],
+                         Tuple[Optional[int], ...]]
+
+
 def shortest_path_tree(net: RCNet, weight: str = "resistance"
-                       ) -> Tuple[List[float], List[int], List[Optional[int]]]:
+                       ) -> ShortestPathTree:
     """Single-source Dijkstra over the net from its source node.
 
-    Returns ``(distance, parent_node, parent_edge)`` lists indexed by node.
+    Returns ``(distance, parent_node, parent_edge)`` tuples indexed by node.
     ``weight`` selects the edge length: ``"resistance"`` (default) or
-    ``"hops"`` for unweighted BFS-style distances.
+    ``"hops"`` for unweighted BFS-style distances.  The resistance tree,
+    which ceff, node features, downstream caps and wire paths all read,
+    is computed once per net and memoized on it; a net never changes, and
+    :meth:`RCNet.scaled` and the ECO edits build new ones.
     """
     if weight not in ("resistance", "hops"):
         raise InputError(f"unknown weight {weight!r}",
                          net=net.name, stage="paths")
+    if weight == "hops":
+        return _dijkstra(net, hops=True)
+    if net._shortest_paths is None:
+        net._shortest_paths = _dijkstra(net, hops=False)
+    return net._shortest_paths
+
+
+def _dijkstra(net: RCNet, hops: bool) -> ShortestPathTree:
     n = net.num_nodes
     dist = [float("inf")] * n
     parent: List[int] = [-1] * n
@@ -75,14 +91,14 @@ def shortest_path_tree(net: RCNet, weight: str = "resistance"
         if d > dist[node]:
             continue
         for neighbor, edge_index in net.adjacency[node]:
-            step = net.edges[edge_index].resistance if weight == "resistance" else 1.0
+            step = 1.0 if hops else net.edges[edge_index].resistance
             nd = d + step
             if nd < dist[neighbor]:
                 dist[neighbor] = nd
                 parent[neighbor] = node
                 parent_edge[neighbor] = edge_index
                 heapq.heappush(heap, (nd, neighbor))
-    return dist, parent, parent_edge
+    return tuple(dist), tuple(parent), tuple(parent_edge)
 
 
 def extract_wire_paths(net: RCNet) -> List[WirePath]:

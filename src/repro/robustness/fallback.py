@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..design.sta import (AWEWireModel, D2MWireModel, ElmoreWireModel,
-                          WireTimingModel)
+from ..design.sta import (AWEWireModel, BindRequest, D2MWireModel,
+                          ElmoreWireModel, WireBinding, WireTimingModel)
 from ..features.path_features import NetContext
 from ..obs import get_metrics, named_lock
 from ..rcnet.graph import RCNet
@@ -239,6 +239,13 @@ class FallbackChain(WireTimingModel):
             return 0
         primer = getattr(self._tiers[0][1], "prime_nets", None)
         return 0 if primer is None else int(primer(requests))
+
+    def bind_many(self, requests: Sequence[BindRequest]
+                  ) -> List[WireBinding]:
+        """Per-call ladder walks, after one :meth:`prime_nets` pass over
+        every request warms the primary tier's cache."""
+        self.prime_nets(requests)
+        return super().bind_many(requests)
 
     def wire_timing(self, net: RCNet, input_slew: float,
                     sink_loads: np.ndarray, drive_resistance: float,

@@ -56,6 +56,7 @@ def _raw_net(name: str, nodes: Sequence[RCNode], edges: Sequence[RCEdge],
     net.sinks = tuple(int(s) for s in sinks)
     net.couplings = tuple(couplings)
     net._adjacency = None
+    net._shortest_paths = None
     return net
 
 

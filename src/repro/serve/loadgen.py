@@ -183,16 +183,19 @@ def run_serve_bench(workload: ServeWorkload,
                     port: Optional[int] = None) -> Dict[str, Any]:
     """Run the load workload; returns the ``repro-serve-bench/1`` document.
 
-    With no ``host``/``port`` an in-process service is started on an
-    ephemeral port and torn down afterwards (the self-contained CI path);
-    pointing at an external server skips service ownership.
+    With neither ``host`` nor ``port`` an in-process service is started on
+    an ephemeral port and torn down afterwards (the self-contained CI
+    path); with both, the external server there is load-tested.  One
+    without the other raises :class:`ValueError`.
     """
     from .server import ServeConfig, start_server
 
+    if (host is None) != (port is None):
+        raise ValueError("an external server needs both host and port")
     registry = get_metrics()
     registry.reset()
     handle = None
-    if host is None or port is None:
+    if host is None:
         config = ServeConfig(host="127.0.0.1", port=0,
                              workers=workload.workers)
         handle = start_server(config)

@@ -31,3 +31,19 @@ def tree_net(rng):
 @pytest.fixture
 def nontree_net(rng):
     return random_nontree_net(rng, n_nodes=20, n_sinks=4, n_loops=3, name="nt")
+
+
+@pytest.fixture
+def encoder_packs(monkeypatch):
+    """The net count of every GNNTrans encoder pack run during the test."""
+    from repro.core.gnntrans import GNNTrans
+
+    packs = []
+    encode = GNNTrans.encode
+
+    def spy(model, batch):
+        packs.append(len(batch.names))
+        return encode(model, batch)
+
+    monkeypatch.setattr(GNNTrans, "encode", spy)
+    return packs

@@ -3,7 +3,9 @@
 Packed loss and gradients must equal per-net accumulation, packed
 ``predict`` must equal per-net ``predict_sample``, nets sharing a pack
 must not reach each other, and fused attention heads must start from, and
-load, the per-head weights they replace.
+load, the per-head weights they replace.  Binding, the learned STA's
+inference, is exact: a net bound in a pack of its node count equals its
+pack of one bitwise, as the ECO parity contract needs.
 """
 
 import copy
@@ -13,11 +15,13 @@ import numpy as np
 import pytest
 
 from repro.baselines import BASELINE_KINDS, GATLayer, make_baseline_factory
-from repro.core import (GNNTrans, GNNTransConfig, MultiHeadSelfAttention,
-                        WireTimingEstimator)
+from repro.core import (GNNTrans, GNNTransConfig, LearnedWireModel,
+                        MultiHeadSelfAttention, WireTimingEstimator)
 from repro.core.estimator import _packed_mse
 from repro.data import generate_dataset
-from repro.features import pack
+from repro.design import BindRequest, generate_benchmark
+from repro.features import PATH_FEATURE_NAMES, NetContext, pack
+from repro.liberty import make_default_library
 from repro.nn import Tensor
 from repro.nn.init import xavier_uniform
 
@@ -198,6 +202,101 @@ class TestFusedHeads:
         out = attention(Tensor(x), mask).data
         alone = attention(Tensor(x[1:, :3]), None).data
         np.testing.assert_allclose(out[1, :3], alone[0], rtol=1e-12)
+
+
+def _at_slew(paths, scaled_slew):
+    """``paths`` with their scaled input-slew feature set to one value."""
+    column = PATH_FEATURE_NAMES.index("input_slew")
+    out = []
+    for path in paths:
+        features = path.features.copy()
+        features[column] = scaled_slew
+        out.append(replace(path, features=features))
+    return out
+
+
+class TestPackInvariantBinding:
+    """Bindings are bitwise their pack of one, at every slew."""
+
+    @pytest.fixture(scope="class")
+    def same_size(self, dataset):
+        """32 nets of one node count with 1 to 7 paths each: one real
+        net's graph with perturbed node features, and truncated paths."""
+        base = max(dataset.train, key=lambda s: s.num_paths)
+        rng = np.random.default_rng(7)
+        nets = []
+        for i in range(32):
+            noise = rng.normal(scale=0.2, size=base.node_features.shape)
+            nets.append(replace(base, name=f"{base.name}#{i}",
+                                node_features=base.node_features + noise,
+                                paths=base.paths[:1 + i % base.num_paths]))
+        assert len({net.num_paths for net in nets}) == base.num_paths > 4
+        return nets
+
+    @pytest.fixture(scope="class")
+    def graphsage(self, dataset):
+        estimator = WireTimingEstimator(
+            TINY, model_factory=make_baseline_factory("graphsage", depth=2))
+        estimator.fit(dataset.train[:8], epochs=1)
+        return estimator
+
+    @pytest.mark.parametrize("size", [8, 32])
+    def test_gnntrans_pack_equals_each_pack_of_one(self, fitted, same_size,
+                                                   size):
+        model = fitted.model
+        nets = same_size[:size]
+        forwards = model.bind_many(nets)
+        for slew in (-1.3, 0.0, 0.4, 2.7):
+            for net, forward in zip(nets, forwards):
+                paths = _at_slew(net.paths, slew)
+                alone = model(replace(net, paths=paths))
+                for got, want in zip(forward(paths), alone):
+                    np.testing.assert_array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("which", ["fitted", "graphsage"])
+    def test_learned_bind_many_equals_per_request_bind(self, request, which,
+                                                       dataset):
+        netlist = generate_benchmark("WB_DMA", make_default_library(),
+                                     scale=1500)
+        requests, seen = [], set()
+        for stage in (s for p in netlist.paths for s in p.stages):
+            if stage.net in seen:
+                continue
+            seen.add(stage.net)
+            net = netlist.nets[stage.net]
+            cell = netlist.gates[stage.gate].cell
+            requests.append(BindRequest(
+                net.rcnet, netlist.sink_loads(net), cell.drive_resistance,
+                NetContext(20e-12, cell, [netlist.gates[l.gate].cell
+                                          for l in net.loads])))
+        sizes = [r.net.num_nodes for r in requests]
+        assert len(set(sizes)) < len(sizes)  # some nets share a pack
+        model = LearnedWireModel(request.getfixturevalue(which),
+                                 dataset.scaler)
+        grouped = model.bind_many(requests)
+        for slew in (5e-12, 20e-12, 150e-12):
+            for bind_args, binding in zip(requests, grouped):
+                for got, want in zip(binding(slew),
+                                     model.bind(*bind_args)(slew)):
+                    np.testing.assert_array_equal(got, want)
+
+    def test_raising_net_degrades_alone(self, fitted, same_size):
+        estimator = copy.deepcopy(fitted)
+        nets = list(same_size[:8])
+        bad = 3
+        nets[bad] = replace(nets[bad], node_features=np.hstack(
+            [nets[bad].node_features] * 2))
+        predictors = estimator.bind_samples(nets)
+        for i, (net, predict) in enumerate(zip(nets, predictors)):
+            slew, delay = predict(net.paths)
+            if i == bad:
+                assert estimator.last_record.tier == "label-prior"
+                assert f"net='{net.name}'" in estimator.last_record.reason
+                continue
+            assert estimator.last_tier == "model"
+            alone_slew, alone_delay = estimator.predict_sample(net)
+            np.testing.assert_array_equal(slew, alone_slew)
+            np.testing.assert_array_equal(delay, alone_delay)
 
 
 def _legacy_state(state, heads):

@@ -430,14 +430,20 @@ def _random_edit(netlist, library, rng):
     return netlist.reconnect_sink(net_name, sink, str(rng.choice(pins)))
 
 
-def _random_script_parity(library, seed, wire_model):
-    """Apply 8 random edits through ECO; return the parity problems."""
+def _random_script_parity(library, seed, wire_model, packs=None):
+    """Apply 8 random edits through ECO; return the parity problems.
+
+    ``packs``, an ``encoder_packs`` record, must show that the cold pass
+    bound some nets together, so the edits' single binds are compared
+    with grouped ones.
+    """
     rng = np.random.default_rng(seed)
     netlist = generate_design(
         DesignSpec(f"eco_prop{seed}", n_combinational=24, n_ffs=4,
                    n_paths=6, seed=50 + seed), library)
     engine = ECOTimingEngine(netlist, wire_model)
     engine.full_pass()
+    assert packs is None or max(packs) >= 2, packs
     applied = 0
     for _ in range(60):
         if applied == 8:
@@ -462,10 +468,12 @@ class TestParityContract:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_learned_random_edit_script_is_bitwise_identical(
-            self, library, learned, seed):
+            self, library, learned, seed, encoder_packs):
         """The learned model's per-net bindings are dropped with the
-        edited nets, so replay still equals a cold pass bitwise."""
-        assert _random_script_parity(library, seed, learned) == []
+        edited nets and rebound, alone or in small packs, so replay still
+        equals a cold pass, which binds nets in packs, bitwise."""
+        assert _random_script_parity(library, seed, learned,
+                                     encoder_packs) == []
 
     def test_parity_holds_after_every_single_edit(self, library):
         netlist = _two_arc_netlist(library)

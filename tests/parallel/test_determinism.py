@@ -89,7 +89,9 @@ class TestSTAJobsInvariance:
         pooled = STAEngine(design, ElmoreWireModel()).analyze_design(jobs=3)
         _assert_sta_equal(serial, pooled)
 
-    def test_learned_arrivals_and_tiers_identical(self):
+    def test_learned_arrivals_and_tiers_identical(self, encoder_packs):
+        """The serial pass binds its nets in packs of one node count; the
+        workers bind each net alone, on its first stage."""
         dataset = generate_dataset(n_jobs=1, **DATASET_KW)
         estimator = WireTimingEstimator(TINY)
         estimator.fit(dataset.train, epochs=TINY.epochs, verbose=False)
@@ -97,7 +99,9 @@ class TestSTAJobsInvariance:
         design = generate_design(
             DesignSpec("par_learned", n_combinational=30, n_ffs=4,
                        n_paths=8, seed=5), make_default_library())
+        encoder_packs.clear()  # the fit's packs
         serial = STAEngine(design, model).analyze_design(jobs=1)
+        assert max(encoder_packs) >= 2, encoder_packs
         pooled = STAEngine(design, model).analyze_design(jobs=2)
         _assert_sta_equal(serial, pooled)
         assert {s.tier for p in serial.paths for s in p.stages} == {"model"}

@@ -92,6 +92,50 @@ class TestDijkstra:
         with pytest.raises(ValueError):
             shortest_path_tree(small_chain, weight="length")
 
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """``(net name, hops)`` of every Dijkstra run during the test."""
+        from repro.rcnet import paths as paths_module
+
+        runs = []
+        dijkstra = paths_module._dijkstra
+
+        def counting(net, hops):
+            runs.append((net.name, hops))
+            return dijkstra(net, hops)
+
+        monkeypatch.setattr(paths_module, "_dijkstra", counting)
+        return runs
+
+    def test_sample_and_ceff_share_one_resistance_tree(
+            self, nontree_net, library, runs):
+        """Node features, wire paths, downstream caps and ceff all read
+        the resistance tree; it is computed once per net."""
+        from repro.features import NetContext, build_net_sample
+        from repro.liberty.ceff import effective_capacitance
+
+        cell = library.cell("BUF_X2")
+        context = NetContext(input_slew=20e-12, drive_cell=cell,
+                             load_cells=[cell] * nontree_net.num_sinks)
+        build_net_sample(nontree_net, context, labeled=False)
+        effective_capacitance(nontree_net, cell.drive_resistance,
+                              context.sink_loads())
+        assert runs == [("nt", False)]
+
+    def test_hop_tree_is_not_memoized(self, small_chain, runs):
+        first = shortest_path_tree(small_chain, weight="hops")
+        assert shortest_path_tree(small_chain, weight="hops") == first
+        assert [hops for _, hops in runs] == [True, True]
+        assert shortest_path_tree(small_chain)[0] != first[0]
+
+    def test_memoized_tree_is_read_only_and_per_net(self, small_chain):
+        tree = shortest_path_tree(small_chain)
+        assert all(isinstance(part, tuple) for part in tree)
+        assert shortest_path_tree(small_chain) is tree
+        scaled = shortest_path_tree(small_chain.scaled(r_factor=2.0))
+        np.testing.assert_allclose(scaled[0], np.arange(10) * 200.0)
+        assert scaled[1] == tree[1]
+
     def test_matches_networkx(self, nontree_net):
         import networkx as nx
         g = nontree_net.to_networkx()

@@ -106,3 +106,22 @@ class TestBenchCli:
         assert main(["bench", "--quick", "-o", str(tmp_path)]) == 1
         assert "1 request(s) lost" in capsys.readouterr().err
         assert len(list(tmp_path.iterdir())) == 1  # the report is kept
+
+    @pytest.mark.parametrize("half", [["--port", "1"],
+                                      ["--host", "127.0.0.1"]])
+    def test_host_without_port_is_a_usage_error(self, half, tmp_path,
+                                                monkeypatch, capsys):
+        """One of --host/--port alone must not load-test a fresh
+        in-process service in place of the named server."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("no load run may start")
+
+        monkeypatch.setattr(loadgen, "run_serve_bench", unreachable)
+        assert main(["bench", "--quick", "-o", str(tmp_path)] + half) == 2
+        assert "--host and --port" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("host, port", [(None, 1), ("127.0.0.1", None)])
+    def test_run_serve_bench_rejects_half_an_address(self, host, port):
+        with pytest.raises(ValueError, match="both host and port"):
+            run_serve_bench(QUICK_SERVE_WORKLOAD, host=host, port=port)
