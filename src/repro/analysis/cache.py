@@ -16,14 +16,13 @@ a size-bounded LRU from that key to the reusable
 :class:`~repro.analysis.simulator.EigenSolve` object.
 
 Hit/miss/eviction counts feed the ``simulator.cache_*`` metrics (see
-docs/OBSERVABILITY.md).  Every worker process of a parallel run owns its
-own cache, so no cross-*process* locking exists or is needed — but within
-one process the serve worker threads all query the shared global cache, so
-the LRU map itself is guarded by a (watched) lock.  Lock discipline: only
-the ``OrderedDict`` operations run under the lock; eigensolves, metric
-increments and disk I/O happen outside it, so a slow ``.npz`` read never
-stalls an unrelated hit.  Cached solves must be treated as immutable —
-they are shared between all timing queries that hash to the same key.
+docs/OBSERVABILITY.md).  The serve worker threads all query the shared
+global cache, so the LRU map is guarded by a (watched) lock.  Lock
+discipline: only the ``OrderedDict`` operations run under the lock;
+eigensolves, metric increments and disk I/O happen outside it, so a slow
+``.npz`` read never stalls an unrelated hit.  Cached solves must be
+treated as immutable — they are shared between all timing queries that
+hash to the same key.
 """
 
 from __future__ import annotations

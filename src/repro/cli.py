@@ -66,10 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-si", action="store_true",
                    help="label without crosstalk injection")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for golden labeling (0 = all "
-                        "cores; capped at core count); results are "
-                        "jobs-invariant")
     p.set_defaults(handler=_cmd_dataset)
 
     p = sub.add_parser("train", help="train an estimator on a dataset file")
@@ -92,9 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="evaluate the non-tree subset (Table III)")
     p.add_argument("--per-design", action="store_true",
                    help="report one row per test design")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for inference (0 = all cores; "
-                        "capped at core count)")
     p.set_defaults(handler=_cmd_evaluate)
 
     p = sub.add_parser("spef-timing",
@@ -137,10 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit a machine-readable JSON report (stage "
                         "timings + counters) instead of the text report")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for path analysis (0 = all cores; "
-                        "capped at core count); arrival times are "
-                        "jobs-invariant")
     p.set_defaults(handler=_cmd_report)
 
     p = sub.add_parser(
@@ -257,25 +246,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # ----------------------------------------------------------------------
-def _cli_jobs(requested: int) -> int:
-    """Resolve a ``--jobs`` value to the worker count actually used.
-
-    ``0`` means "all cores"; explicit requests are capped at the machine's
-    core count — oversubscribing a CPU-bound pool only adds contention,
-    and results are jobs-invariant either way.
-    """
-    from .parallel import resolve_jobs
-
-    return resolve_jobs(requested)
-
-
 def _cmd_dataset(args: argparse.Namespace) -> int:
     from .data import generate_dataset, save_dataset
 
-    dataset = generate_dataset(
-        train_names=args.train, test_names=args.test, scale=args.scale,
-        nets_per_design=args.nets, si_mode=not args.no_si, seed=args.seed,
-        n_jobs=_cli_jobs(args.jobs))
+    try:
+        dataset = generate_dataset(
+            train_names=args.train, test_names=args.test, scale=args.scale,
+            nets_per_design=args.nets, si_mode=not args.no_si,
+            seed=args.seed)
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     save_dataset(args.output, dataset)
     print(f"wrote {args.output}: {len(dataset.train)} train nets "
           f"({dataset.num_train_paths} paths), {len(dataset.test)} test nets "
@@ -322,13 +303,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if not samples:
         print("no samples in the requested subset", file=sys.stderr)
         return 1
-    jobs = _cli_jobs(args.jobs)
     if args.per_design:
         from .data import by_design
 
         for design, group in sorted(by_design(samples).items()):
-            print(f"{design:<12} {estimator.evaluate(group, jobs=jobs)}")
-    print(f"{'overall':<12} {estimator.evaluate(samples, jobs=jobs)}")
+            print(f"{design:<12} {estimator.evaluate(group)}")
+    print(f"{'overall':<12} {estimator.evaluate(samples)}")
     return 0
 
 
@@ -438,8 +418,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return 1
     wire_model = engines[args.engine]()
     report = STAEngine(netlist, wire_model,
-                       launch_slew=launch_slew).analyze_design(
-                           jobs=_cli_jobs(args.jobs))
+                       launch_slew=launch_slew).analyze_design()
     if args.json:
         from .obs import dump_json, observability_document
 

@@ -29,7 +29,6 @@ from ..nn.metrics import max_abs_error, r2_score
 from ..nn.optim import Adam
 from ..nn.tensor import Tensor
 from ..nn.trainer import Trainer, TrainingHistory
-from ..parallel import parallel_map
 from ..rcnet.graph import RCNet
 from .config import DEFAULT_CONFIG, GNNTransConfig
 from .gnntrans import GNNTrans, PathForward
@@ -470,29 +469,20 @@ class WireTimingEstimator:
         size = self.config.batch_size
         return [order[i:i + size] for i in range(0, len(order), size)]
 
-    def predict(self, samples: Sequence[NetSample], jobs: int = 1
+    def predict(self, samples: Sequence[NetSample]
                 ) -> Tuple[np.ndarray, np.ndarray]:
         """Concatenated per-path predictions over many nets, in ps.
 
         Nets run in packs of ``config.batch_size`` (see
-        :meth:`_pack_plan`).  ``jobs > 1`` hands the same packs to worker
-        processes (the fitted estimator ships to each worker once, via the
-        pool initializer), so the output does not depend on ``jobs``.
-        Results and provenance records come back in sample order.
+        :meth:`_pack_plan`).  Results and provenance records come back in
+        sample order.
         """
         self._require_fitted()
         samples = list(samples)
-        plan = self._pack_plan(samples)
-        packs = [[samples[i] for i in indices] for indices in plan]
-        if jobs is None or jobs != 1:
-            results = parallel_map(_predict_worker, packs, jobs=jobs,
-                                   initializer=_init_predict_worker,
-                                   initargs=(self,), label="predict")
-        else:
-            results = [self._predict_pack(p) for p in packs]
         by_sample: Dict[int, _NetPrediction] = {}
-        for indices, outputs in zip(plan, results):
-            by_sample.update(zip(indices, outputs))
+        for indices in self._pack_plan(samples):
+            by_sample.update(zip(indices, self._predict_pack(
+                [samples[i] for i in indices])))
         slews: List[np.ndarray] = []
         delays: List[np.ndarray] = []
         for i, sample in enumerate(samples):
@@ -505,12 +495,10 @@ class WireTimingEstimator:
             return np.zeros(0), np.zeros(0)
         return np.concatenate(slews), np.concatenate(delays)
 
-    def evaluate(self, samples: Sequence[NetSample],
-                 jobs: int = 1) -> EvalMetrics:
+    def evaluate(self, samples: Sequence[NetSample]) -> EvalMetrics:
         """R^2 and max-abs-error against golden labels (paper's metrics)."""
-        with get_tracer().span("estimator.evaluate", samples=len(samples),
-                               jobs=jobs):
-            pred_slew, pred_delay = self.predict(samples, jobs=jobs)
+        with get_tracer().span("estimator.evaluate", samples=len(samples)):
+            pred_slew, pred_delay = self.predict(samples)
         true_slew = np.array([p.label_slew for s in samples for p in s.paths])
         true_delay = np.array([p.label_delay for s in samples for p in s.paths])
         return EvalMetrics(
@@ -558,22 +546,6 @@ class WireTimingEstimator:
     def _require_fitted(self) -> None:
         if self.model is None:
             raise RuntimeError("estimator is not fitted; call fit() or load()")
-
-
-# Per-worker estimator installed once by the pool initializer, so the model
-# weights are shipped per worker instead of per task.
-_WORKER_ESTIMATOR: Optional[WireTimingEstimator] = None
-
-
-def _init_predict_worker(estimator: "WireTimingEstimator") -> None:
-    global _WORKER_ESTIMATOR
-    _WORKER_ESTIMATOR = estimator
-
-
-def _predict_worker(samples: List[NetSample]) -> List[_NetPrediction]:
-    """Worker entry point: predict one pack, returning results with their
-    provenance."""
-    return _WORKER_ESTIMATOR._predict_pack(samples)
 
 
 def _raising(exc: Exception) -> WireBinding:

@@ -6,13 +6,12 @@ we derive the electrical context from the actual driving/receiving cells,
 run the golden timer, and package a :class:`~repro.features.NetSample`.
 
 Golden labeling is the generation bottleneck (the paper parallelized the
-analogous stage over 4 GPUs), so the stage is decomposed into picklable
-per-net :class:`NetLabelTask` units executed through
-:func:`repro.parallel.parallel_map`: ``n_jobs`` worker processes label nets
-concurrently, results are collected in task order, and every random choice
-draws from ``SeedSequence`` children spawned per design and per net from
-the workload seed — so any ``n_jobs`` produces a bit-identical dataset,
-including which nets were sampled and which were skipped.
+analogous stage over 4 GPUs).  Here every design becomes per-net
+:class:`NetLabelTask` units, and all nets of a build are labelled in one
+process by the batch engine, one stacked solve per size group.  Net
+subsampling draws from a ``SeedSequence`` child spawned per design from the
+workload seed, so a design's sample does not depend on the other designs
+named.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import numpy as np
 
 from ..analysis.simulator import GoldenTimer
 from ..obs import get_metrics, get_tracer
-from ..parallel import MapFailure, parallel_map, spawn_seeds
 from ..robustness.errors import EstimationError
 from ..design.benchmarks import (DEFAULT_SCALE, TEST_BENCHMARKS,
                                  TRAIN_BENCHMARKS, generate_benchmark)
@@ -88,13 +86,8 @@ class WireTimingDataset:
 class NetLabelTask:
     """One golden-labeling work unit: a net plus its electrical context.
 
-    Tasks are self-contained and picklable — the RC net, the driving cell
-    and the receiving cells travel with the task, so workers need no shared
-    library object.  ``seed`` is the net's private ``SeedSequence`` child
-    (spawned from the workload seed); golden labeling is currently fully
-    deterministic, but any future stochastic component (Monte-Carlo SI
-    sampling, parasitic jitter) must draw from it so that results stay
-    independent of the worker count.
+    The RC net, the driving cell and the receiving cells travel with the
+    task, so labelling needs no library object.
     """
 
     design: str
@@ -104,46 +97,19 @@ class NetLabelTask:
     load_cells: Tuple[object, ...]
     si_mode: bool = True
     on_error: str = "skip"
-    seed: Optional[np.random.SeedSequence] = None
-
-
-def _label_net(task: NetLabelTask
-               ) -> Tuple[Optional[NetSample], Optional[SkippedSample]]:
-    """Worker entry point: golden-label one net (exactly one result).
-
-    Returns ``(sample, None)`` on success and ``(None, skip_record)`` when
-    the net fails with a typed error and the task is in skip mode; in raise
-    mode the typed error propagates (through the pool, when parallel).
-    """
-    try:
-        sink_loads = np.array([c.input_cap for c in task.load_cells])
-        ceff = effective_capacitance(task.rcnet,
-                                     task.drive_cell.drive_resistance,
-                                     sink_loads)
-        _, input_slew = task.drive_cell.delay_and_slew(_LAUNCH_SLEW, ceff)
-        context = NetContext(input_slew=input_slew,
-                             drive_cell=task.drive_cell,
-                             load_cells=list(task.load_cells))
-        timer = GoldenTimer(drive_resistance=task.drive_cell.drive_resistance,
-                            si_mode=task.si_mode)
-        sample = build_net_sample(task.rcnet, context, design=task.design,
-                                  timer=timer)
-        return sample, None
-    except (EstimationError, np.linalg.LinAlgError) as exc:
-        if task.on_error == "raise":
-            raise
-        return None, SkippedSample(task.net_name, task.design, str(exc))
 
 
 def _label_nets_batched(tasks: Sequence[NetLabelTask]
                         ) -> List[Tuple[Optional[NetSample],
                                         Optional[SkippedSample]]]:
-    """Serial fast path: golden-label all tasks through the batch engine.
+    """Golden-label all tasks through the batch engine, in task order.
 
-    Produces exactly what mapping :func:`_label_net` over ``tasks`` would —
-    same samples bit for bit (the batched solver is bitwise-identical to
-    the scalar one), same skip records, same raise-mode behaviour — with
-    the per-net eigendecompositions and crossing searches fused into
+    Each result is ``(sample, None)`` on success and ``(None, skip_record)``
+    when the net fails with a typed error in skip mode; in raise mode the
+    typed error propagates.  The samples equal, bit for bit, what
+    :func:`~repro.features.pipeline.build_net_sample` builds for each net
+    alone (the batched solver is bitwise-identical to the scalar one),
+    with the per-net eigendecompositions and crossing searches fused into
     stacked calls by :func:`repro.analysis.batch.golden_analyze_many`.
     """
     from ..analysis.batch import GoldenNetJob, golden_analyze_many
@@ -207,8 +173,7 @@ def _label_nets_batched(tasks: Sequence[NetLabelTask]
 
 def _net_tasks(netlist: Netlist, max_nets: Optional[int] = None,
                rng: Optional[np.random.Generator] = None,
-               si_mode: bool = True, on_error: str = "skip",
-               seed_seq: Optional[np.random.SeedSequence] = None
+               si_mode: bool = True, on_error: str = "skip"
                ) -> List[NetLabelTask]:
     """Decompose one design into per-net labeling tasks (optionally subsampled).
 
@@ -221,58 +186,44 @@ def _net_tasks(netlist: Netlist, max_nets: Optional[int] = None,
         rng = rng or np.random.default_rng(0)
         picked = rng.choice(len(nets), size=max_nets, replace=False)
         nets = [nets[int(i)] for i in sorted(picked)]
-    net_seeds: Sequence[Optional[np.random.SeedSequence]]
-    net_seeds = seed_seq.spawn(len(nets)) if seed_seq is not None \
-        else [None] * len(nets)
-    tasks: List[NetLabelTask] = []
-    for net, child in zip(nets, net_seeds):
-        tasks.append(NetLabelTask(
-            design=netlist.name,
-            net_name=net.name,
-            rcnet=net.rcnet,
-            drive_cell=netlist.gates[net.driver].cell,
-            load_cells=tuple(netlist.gates[load.gate].cell
-                             for load in net.loads),
-            si_mode=si_mode,
-            on_error=on_error,
-            seed=child,
-        ))
-    return tasks
+    return [NetLabelTask(
+        design=netlist.name,
+        net_name=net.name,
+        rcnet=net.rcnet,
+        drive_cell=netlist.gates[net.driver].cell,
+        load_cells=tuple(netlist.gates[load.gate].cell
+                         for load in net.loads),
+        si_mode=si_mode,
+        on_error=on_error,
+    ) for net in nets]
 
 
 def design_net_samples(netlist: Netlist, max_nets: Optional[int] = None,
                        rng: Optional[np.random.Generator] = None,
                        si_mode: bool = True, on_error: str = "skip",
-                       skipped: Optional[List[SkippedSample]] = None,
-                       jobs: int = 1) -> List[NetSample]:
+                       skipped: Optional[List[SkippedSample]] = None
+                       ) -> List[NetSample]:
     """Build one sample per net of ``netlist`` (optionally a random subset).
 
     A net whose golden labeling fails with a typed
     :class:`~repro.robustness.errors.EstimationError` (ill-conditioned MNA,
-    non-finite parasitics, ...) is skipped and logged by default — one
-    pathological net must not abort an hours-long dataset build.  Pass
-    ``on_error="raise"`` to fail fast instead, and a ``skipped`` list to
-    collect the per-net :class:`SkippedSample` records.  ``jobs`` labels
-    nets across worker processes; results are identical for any value.
+    non-finite or negative parasitics, ...) is skipped and logged by
+    default — one pathological net must not abort an hours-long dataset
+    build.  Pass ``on_error="raise"`` to fail fast instead, and a
+    ``skipped`` list to collect the per-net :class:`SkippedSample` records.
     """
     if on_error not in ("skip", "raise"):
         raise ValueError(f"on_error must be 'skip' or 'raise', got {on_error!r}")
     tasks = _net_tasks(netlist, max_nets, rng, si_mode, on_error)
-    if jobs == 1:
-        results = _label_nets_batched(tasks)
-    else:
-        results = parallel_map(_label_net, tasks, jobs=jobs,
-                               label="label_nets")
-    return _collect(tasks, results, skipped)
+    return _collect(_label_nets_batched(tasks), skipped)
 
 
-def _collect(tasks: Sequence[NetLabelTask],
-             results: Sequence[Tuple[Optional[NetSample],
+def _collect(results: Sequence[Tuple[Optional[NetSample],
                                      Optional[SkippedSample]]],
              skipped: Optional[List[SkippedSample]]) -> List[NetSample]:
-    """Fold ordered worker results into samples + skip records + counters."""
+    """Fold ordered labelling results into samples, skips and counters."""
     samples: List[NetSample] = []
-    for task, (sample, skip) in zip(tasks, results):
+    for sample, skip in results:
         if sample is not None:
             samples.append(sample)
             _NETS_LABELED.inc()
@@ -285,104 +236,57 @@ def _collect(tasks: Sequence[NetLabelTask],
     return samples
 
 
-@dataclass(frozen=True)
-class _DesignJob:
-    """Worker unit of the design-generation phase (picklable)."""
-
-    name: str
-    scale: int
-    nets_per_design: Optional[int]
-    si_mode: bool
-    seed: np.random.SeedSequence
-    library: Optional[Library] = None
-
-
-def _design_tasks(job: _DesignJob) -> List[NetLabelTask]:
-    """Worker entry point: generate one benchmark and emit its net tasks.
-
-    Subsampling draws from the design's own ``SeedSequence`` child, and the
-    per-net seeds are spawned from the same child in sampled-net order —
-    both independent of which process runs the job.
-    """
-    with get_tracer().span("dataset.design", design=job.name,
-                           scale=job.scale):
-        library = job.library if job.library is not None \
-            else make_default_library()
-        netlist = generate_benchmark(job.name, library, job.scale)
-        rng = np.random.default_rng(job.seed)
-        return _net_tasks(netlist, job.nets_per_design, rng, job.si_mode,
-                          seed_seq=job.seed)
-
-
 def generate_dataset(train_names: Sequence[str] = tuple(TRAIN_BENCHMARKS),
                      test_names: Sequence[str] = tuple(TEST_BENCHMARKS),
                      scale: int = DEFAULT_SCALE,
                      nets_per_design: Optional[int] = 60,
                      library: Optional[Library] = None,
                      si_mode: bool = True,
-                     seed: int = 7,
-                     n_jobs: int = 1) -> WireTimingDataset:
+                     seed: int = 7) -> WireTimingDataset:
     """Generate and standardize the full benchmark dataset.
 
     Parameters
     ----------
     train_names, test_names:
-        Benchmark names (defaults: the paper's Table II split).
+        Benchmark names (defaults: the paper's Table II split).  A design
+        named twice, in one list or across both, is a ``ValueError``.
     scale:
         Design down-scaling factor (see :mod:`repro.design.benchmarks`).
     nets_per_design:
         Cap on sampled nets per design (None = all nets).
     library:
-        Cell library (default synthetic library).  Cells travel inside the
-        per-net tasks, so custom libraries work with any ``n_jobs``.
+        Cell library (default synthetic library).
     si_mode:
         Whether golden labels include SI coupling effects.
     seed:
-        Workload seed.  Per-design and per-net RNG streams are spawned from
-        it via ``numpy.random.SeedSequence.spawn``, so the sampled nets,
-        the labels and the skipped-net records are bit-identical for every
-        ``n_jobs`` value.
-    n_jobs:
-        Worker processes for design generation and golden labeling (the
-        generation bottleneck).  A worker crash degrades to an in-parent
-        serial retry (see :mod:`repro.parallel`) instead of aborting.
+        Workload seed.  Each design samples its nets from its own child of
+        ``numpy.random.SeedSequence(seed)``, spawned in name order.
     """
     names = list(train_names) + list(test_names)
-    # Build the (deterministic) default library once here rather than once
-    # per design inside the workers — cells travel in the tasks either way.
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"design(s) named more than once in train/test: "
+                         f"{', '.join(repeated)}")
     library = library if library is not None else make_default_library()
-    design_jobs = [
-        _DesignJob(name, scale, nets_per_design, si_mode, child, library)
-        for name, child in zip(names, spawn_seeds(seed, len(names)))]
 
     tracer = get_tracer()
     with tracer.span("dataset.generate", designs=len(names), scale=scale,
-                     nets_per_design=nets_per_design, jobs=n_jobs) as span:
-        crashes: List[MapFailure] = []
-        per_design = parallel_map(_design_tasks, design_jobs, jobs=n_jobs,
-                                  label="generate_designs", failures=crashes)
-        tasks = [task for design_tasks in per_design
-                 for task in design_tasks]
-        if n_jobs == 1:
-            # Serial builds take the batched labeler: one stacked solve
-            # across all nets, bitwise equal to the per-net path (the
-            # jobs-invariance CI gate holds either way).
-            results = _label_nets_batched(tasks)
-        else:
-            results = parallel_map(_label_net, tasks, jobs=n_jobs,
-                                   label="label_nets", failures=crashes)
-
-        train: List[NetSample] = []
-        test: List[NetSample] = []
+                     nets_per_design=nets_per_design) as span:
+        tasks: List[NetLabelTask] = []
+        for name, child in zip(names,
+                               np.random.SeedSequence(seed).spawn(len(names))):
+            with tracer.span("dataset.design", design=name, scale=scale):
+                netlist = generate_benchmark(name, library, scale)
+                tasks.extend(_net_tasks(netlist, nets_per_design,
+                                        np.random.default_rng(child),
+                                        si_mode))
         skipped: List[SkippedSample] = []
+        samples = _collect(_label_nets_batched(tasks), skipped)
         train_set = set(train_names)
-        samples = _collect(tasks, results, skipped)
-        for task, sample in zip(
-                (t for t, (s, _) in zip(tasks, results) if s is not None),
-                samples):
-            (train if task.design in train_set else test).append(sample)
+        train = [s for s in samples if s.design in train_set]
+        test = [s for s in samples if s.design not in train_set]
         span.set(train_nets=len(train), test_nets=len(test),
-                 skipped_nets=len(skipped), worker_crashes=len(crashes))
+                 skipped_nets=len(skipped))
 
         scaler = FeatureScaler().fit(train)
         return WireTimingDataset(

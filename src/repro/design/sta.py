@@ -26,7 +26,6 @@ from ..analysis.simulator import GoldenTimer
 from ..features.path_features import NetContext
 from ..liberty.ceff import effective_capacitance
 from ..obs import get_metrics, get_tracer, named_lock
-from ..parallel import parallel_map
 from ..liberty.cell import Cell
 from ..rcnet.graph import RCNet
 from ..robustness.errors import (EstimationError, InputError, ModelError,
@@ -519,52 +518,28 @@ class STAEngine:
         _STAGES_TIMED.inc(len(timing.stages))
         return timing
 
-    def analyze_design(self, jobs: int = 1) -> STAReport:
+    def analyze_design(self) -> STAReport:
         """Arrival times of every recorded path, with a runtime split.
 
-        The serial pass binds every net of its paths in one
+        The pass binds every net of its paths in one
         :meth:`WireTimingModel.bind_many` call, then times the paths.
         The wire column is the time spent inside the wire model, that
         call plus the per-slew calls of each computed stage; the gate
         column is the rest of the pass, mirroring Table V's Gate/Wire
         columns.
-
-        ``jobs > 1`` analyzes paths across worker processes (the netlist
-        and wire model ship to each worker once, and each worker keeps
-        its own stage memo and binds each net on its first stage).
-        Arrival times and the per-stage tier
-        provenance in the report are identical to the serial path;
-        in-model degradation counters (e.g. a FallbackChain's ``stats``)
-        accumulate inside the workers and are not merged back — read
-        provenance from the report's ``stages`` instead.
         """
         model = self.wire_model
         paths = list(self.netlist.paths)
         with get_tracer().span("sta.analyze_design", design=self.netlist.name,
                                wire_model=model.name,
-                               paths=len(paths), jobs=jobs) as span:
-            if jobs == 1 or len(paths) < 2:
-                # Serial runs see every stage up front, so every net of
-                # the pass is bound in one bind_many call.
-                timer = self._timer()
-                start = time.perf_counter()
-                timer.bind_nets(stage.net for path in paths
-                                for stage in path.stages)
-                timings = [timer.path_arrival(p) for p in paths]
-                total = time.perf_counter() - start
-                wire_seconds = timer.wire_seconds
-            else:
-                results = parallel_map(
-                    _timed_path, list(range(len(paths))), jobs=jobs,
-                    initializer=_init_sta_worker,
-                    initargs=(self.netlist, model, self.launch_slew,
-                              self.slew_model, self.lenient_pins),
-                    label="sta_paths")
-                timings = [timing for timing, _, _ in results]
-                wire_seconds = sum(w for _, w, _ in results)
-                total = sum(t for _, _, t in results)
-            # Counted in the parent for both branches: worker processes
-            # own separate metric registries.
+                               paths=len(paths)) as span:
+            timer = self._timer()
+            start = time.perf_counter()
+            timer.bind_nets(stage.net for path in paths
+                            for stage in path.stages)
+            timings = [timer.path_arrival(p) for p in paths]
+            total = time.perf_counter() - start
+            wire_seconds = timer.wire_seconds
             _PATHS_TIMED.inc(len(timings))
             _STAGES_TIMED.inc(sum(len(timing.stages) for timing in timings))
             span.set(gate_seconds=total - wire_seconds,
@@ -576,30 +551,3 @@ class STAEngine:
             gate_seconds=total - wire_seconds,
             wire_seconds=wire_seconds,
         )
-
-
-# Per-worker stage kernel installed once by the pool initializer, so the
-# netlist and wire model ship per worker instead of per path, and the
-# worker's stage memo serves every path it times.
-_WORKER_TIMER: Optional[StageTimer] = None
-
-
-def _init_sta_worker(netlist: Netlist, wire_model: WireTimingModel,
-                     launch_slew: float,
-                     slew_model: Optional[WireTimingModel],
-                     lenient_pins: bool = True) -> None:
-    global _WORKER_TIMER
-    _WORKER_TIMER = StageTimer(netlist, wire_model, launch_slew,
-                               slew_model=slew_model,
-                               lenient_pins=lenient_pins)
-
-
-def _timed_path(index: int) -> Tuple[PathTiming, float, float]:
-    """Worker entry point: ``(timing, wire_seconds, total_seconds)`` of one
-    path, by index into the shipped netlist."""
-    timer = _WORKER_TIMER
-    wire_before = timer.wire_seconds
-    start = time.perf_counter()
-    timing = timer.path_arrival(timer.netlist.paths[index])
-    return (timing, timer.wire_seconds - wire_before,
-            time.perf_counter() - start)

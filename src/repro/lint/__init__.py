@@ -1,17 +1,17 @@
 """`repro.lint` — AST-based invariant linter for this repository.
 
 Generic linters check style; this package checks the invariants the
-reproduction's correctness actually rests on: deterministic (jobs- and
+reproduction's correctness actually rests on: deterministic (seeded and
 import-order-invariant) RNG and iteration discipline in the golden-label
 pipeline, guarded linear algebra, the typed error-contract of
-:mod:`repro.robustness.errors`, spawn-safe :func:`repro.parallel.parallel_map`
-usage, and navigable documentation.  See docs/LINTING.md for the rule
-catalogue, the suppression/baseline workflow, and how to add a rule.
+:mod:`repro.robustness.errors`, and navigable documentation.  See
+docs/LINTING.md for the rule catalogue, the suppression/baseline
+workflow, and how to add a rule.
 
 On top of the per-file rules sits the **deep tier** (``--deep``): a
 whole-program pass that builds per-module summaries (:mod:`.symbols`),
-a project call graph (:mod:`.callgraph`), per-function CFGs (:mod:`.cfg`)
-and a forward dataflow engine (:mod:`.dataflow`), then runs the FLOW
+per-function CFGs (:mod:`.cfg`) and a forward dataflow engine
+(:mod:`.dataflow`), then runs the FLOW
 (:mod:`.flowrules`), SHAPE (:mod:`.shapes`) and UNIT (:mod:`.units`) rule
 packs over them.  Summaries and findings are cached per content hash
 (:mod:`.deep`), so a warm run re-analyzes only edited modules and their
@@ -40,7 +40,6 @@ and programmatically::
 from .baseline import (BASELINE_SCHEMA, DEFAULT_BASELINE, BaselineEntry,
                        BaselineError, apply_baseline, load_baseline,
                        write_baseline)
-from .callgraph import CallGraph
 from .cfg import CFG, build_cfg, dump_cfg, function_cfgs
 from .concurrency import (CONC_RULE_NAMES, LockGraph, build_lock_graph,
                           dump_lock_graph)
@@ -59,7 +58,7 @@ from .units import DeclarationError, UnitDeclarations, load_declarations
 
 __all__ = [
     "ANALYSIS_VERSION", "BASELINE_SCHEMA", "CFG", "CONC_RULE_NAMES",
-    "CallGraph", "ConfigError", "DEEP_RULE_NAMES", "DEFAULT_BASELINE",
+    "ConfigError", "DEEP_RULE_NAMES", "DEFAULT_BASELINE",
     "BaselineEntry", "BaselineError", "DeclarationError", "DeepAnalyzer",
     "DeepStats", "Finding", "LintConfig", "LintResult", "LintRunner",
     "LockGraph", "ModuleContext", "ModuleSummary", "PARSE_RULE",

@@ -8,8 +8,8 @@ and approximate where Python's dynamism makes precision expensive:
 * ``if``/``while``/``for`` produce the usual diamond/loop shapes, with the
   control statement itself kept as the last statement of its block (its
   *test*/*iter* expressions evaluate there; bodies live in successor
-  blocks — transfer functions must use :func:`block_expressions` instead
-  of ``ast.walk`` on control statements).
+  blocks, so a transfer function must not ``ast.walk`` a control
+  statement).
 * ``try`` adds an edge from every block of the ``try`` body to every
   handler — any statement may raise — plus the usual ``else`` path.
   ``finally`` bodies are appended on the join path; early exits (return
@@ -259,31 +259,6 @@ def build_cfg(fn: ast.FunctionDef) -> CFG:
     if builder.current is not None:
         builder._terminate((builder.cfg.exit, EDGE_NORMAL))
     return builder.cfg
-
-
-def block_expressions(stmt: ast.stmt) -> List[ast.expr]:
-    """Expressions a *control* statement evaluates inside its own block.
-
-    Bodies of compound statements live in successor blocks, so transfer
-    functions must not ``ast.walk`` an ``if``/``while``/``for``/``with``
-    statement — this helper returns just the parts that execute in place.
-    Plain statements return themselves wrapped implicitly: callers should
-    walk non-control statements directly.
-    """
-    if isinstance(stmt, ast.If):
-        return [stmt.test]
-    if isinstance(stmt, ast.While):
-        return [stmt.test]
-    if isinstance(stmt, (ast.For, ast.AsyncFor)):
-        return [stmt.iter]
-    if isinstance(stmt, (ast.With, ast.AsyncWith)):
-        return [item.context_expr for item in stmt.items]
-    return []
-
-
-def is_control(stmt: ast.stmt) -> bool:
-    return isinstance(stmt, (ast.If, ast.While, ast.For, ast.AsyncFor,
-                             ast.With, ast.AsyncWith, ast.Try))
 
 
 def dump_cfg(cfg: CFG) -> str:

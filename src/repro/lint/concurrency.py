@@ -32,11 +32,10 @@ deep tier reads:
   checked — ``_CircuitBreaker`` is the canonical case.
 * **Thread-escape analysis (ESCAPE001)** — functions reaching a spawn
   site (``threading.Thread(target=...)``, ``executor.submit``,
-  ``parallel_map``, ``WorkerSupervisor``) are closed over the resolved
-  call graph; any mutation of module-level state (a ``global`` rebind, a
-  store through a module name, a mutating method on a mutable global) on
-  such a path without *any* lock held is flagged.  This generalizes the
-  classic PAR002 rule interprocedurally.
+  ``WorkerSupervisor``) are closed over the resolved call graph; any
+  mutation of module-level state (a ``global`` rebind, a store through a
+  module name, a mutating method on a mutable global) on such a path
+  without *any* lock held is flagged.
 
 The pass is deliberately **uncached**: LOCK001 is a whole-program property
 of the current input set, so findings are recomputed from fresh ASTs each
@@ -67,7 +66,8 @@ __all__ = ["CONC_PACK_VERSION", "CONC_RULE_CATALOGUE", "CONC_RULE_NAMES",
 
 #: Bump when extraction or any CONC rule's semantics change; feeds the
 #: incremental-cache fingerprint so persisted lock models self-invalidate.
-CONC_PACK_VERSION = "repro-lint-conc/1"
+#: v2: process-pool map calls are no longer a spawn kind.
+CONC_PACK_VERSION = "repro-lint-conc/2"
 
 #: Trailing-comment grammar declaring an attribute's guard.  A bare name
 #: is a lock attribute of the same class (checked); a dotted name is an
@@ -84,7 +84,7 @@ _LOCK_CTORS = {
 _LOCK_CTOR_TAILS = {"named_lock": "Lock"}
 
 #: Constructor/display values treated as mutable containers for the
-#: guarded-by inference and the escape analysis (mirrors PAR002).
+#: guarded-by inference and the escape analysis.
 _MUTABLE_CTORS = frozenset({
     "dict", "list", "set", "deque", "OrderedDict", "defaultdict",
     "Counter", "bytearray"})
@@ -268,9 +268,9 @@ class GlobalWrite:
 
 @dataclass
 class SpawnSite:
-    """One place where a callable escapes to another thread/worker."""
+    """One place where a callable escapes to another thread."""
 
-    kind: str            # "thread" | "submit" | "parallel_map" | "supervisor"
+    kind: str            # "thread" | "submit" | "supervisor"
     target: str          # written dotted name of the escaping callable
     function: str        # qualname of the spawning function
     line: int
@@ -621,12 +621,6 @@ class _FunctionScanner:
             kind = "thread"
             for keyword in node.keywords:
                 if keyword.arg == "target":
-                    target = keyword.value
-        elif tail == "parallel_map":
-            kind = "parallel_map"
-            target = node.args[0] if node.args else None
-            for keyword in node.keywords:
-                if keyword.arg == "fn":
                     target = keyword.value
         elif tail == "submit" and isinstance(node.func, ast.Attribute):
             kind = "submit"

@@ -1,4 +1,4 @@
-"""Forward dataflow over :mod:`.cfg` graphs: engine plus two analyses.
+"""Forward dataflow over :mod:`.cfg` graphs: engine plus one analysis.
 
 The engine (:func:`run_forward`) is a classic worklist fixpoint for *may*
 analyses: states are ``var -> frozenset(facts)`` environments, the join is
@@ -6,21 +6,13 @@ key-wise union, and a client supplies the per-statement transfer function.
 Union joins converge because transfer functions here are monotone and the
 fact sets are finite (bounded by the function's def sites).
 
-Two concrete analyses ship with the engine:
-
-* :class:`ReachingDefinitions` — which textual definitions of each name can
-  reach each program point.  FLOW003 uses it to find the constructor call
-  behind ``raise err`` when the error object was built earlier.
-* :class:`TaintAnalysis` — a two-point taint lattice (clean / tainted-at-
-  line) seeded by a client ``is_source`` predicate over call nodes and
-  propagated through assignments.  FLOW001 instantiates it with
-  "unseeded-RNG constructor" sources to catch generators that flow into
-  ``parallel_map`` arguments.
-
-Both deliberately ignore attribute stores, containers and aliasing — a
-fact lost to a dict or an object attribute simply stops propagating, which
-under-approximates taint and over-approximates cleanliness.  For lint-tier
-findings that is the right bias: silence over noise.
+:class:`ReachingDefinitions` — which textual definitions of each name can
+reach each program point — ships with the engine.  FLOW003 uses it to find
+the constructor call behind ``raise err`` when the error object was built
+earlier.  It deliberately ignores attribute stores, containers and
+aliasing: a definition lost to a dict or an object attribute simply stops
+propagating, which for lint-tier findings is the right bias — silence over
+noise.
 """
 
 from __future__ import annotations
@@ -28,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from .cfg import CFG, Block, block_expressions, is_control
+from .cfg import CFG
 
 #: One dataflow environment: variable name -> set of opaque facts.
 Env = Dict[str, FrozenSet[object]]
@@ -160,84 +152,3 @@ def _target_names(target: ast.expr) -> Iterator[str]:
             yield from _target_names(element)
     elif isinstance(target, ast.Starred):
         yield from _target_names(target.value)
-
-
-# ----------------------------------------------------------------------
-# Taint
-# ----------------------------------------------------------------------
-class TaintAnalysis:
-    """Two-point taint lattice over locals, seeded by a source predicate.
-
-    ``is_source(call)`` marks calls whose result is tainted; taint spreads
-    through assignments whose right-hand side syntactically contains a
-    tainted name or a source call, and dies on reassignment from clean
-    expressions.  Facts are ``("taint", line, col)`` tuples naming the
-    originating source call so findings can point at it.
-    """
-
-    def __init__(self, cfg: CFG,
-                 is_source: Callable[[ast.Call], bool],
-                 tainted_params: Optional[List[str]] = None) -> None:
-        self.cfg = cfg
-        self.is_source = is_source
-        initial: Env = {name: frozenset({("taint", 0, 0)})
-                        for name in (tainted_params or [])}
-        self.states = run_forward(cfg, self._transfer, initial)
-
-    def taints_in(self, block: int, var: str) -> FrozenSet[object]:
-        env_in, _ = self.states.get(block, ({}, {}))
-        return env_in.get(var, frozenset())
-
-    def expr_taints(self, expr: ast.expr, env: Env) -> FrozenSet[object]:
-        """Taint facts of an expression under an environment."""
-        facts: FrozenSet[object] = frozenset()
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                facts |= env.get(node.id, frozenset())
-            elif isinstance(node, ast.Call) and self.is_source(node):
-                facts |= frozenset({("taint", node.lineno, node.col_offset)})
-        return facts
-
-    def _transfer(self, stmt: ast.stmt, env: Env) -> Env:
-        out = dict(env)
-        if isinstance(stmt, ast.Assign):
-            facts = self.expr_taints(stmt.value, env)
-            for target in stmt.targets:
-                for name in _target_names(target):
-                    if facts:
-                        out[name] = facts
-                    else:
-                        out.pop(name, None)
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            facts = self.expr_taints(stmt.value, env)
-            for name in _target_names(stmt.target):
-                if facts:
-                    out[name] = facts
-                else:
-                    out.pop(name, None)
-        return out
-
-
-def statement_expressions(stmt: ast.stmt) -> List[ast.expr]:
-    """Expressions evaluated by a statement *within its own block*."""
-    if is_control(stmt):
-        return block_expressions(stmt)
-    exprs: List[ast.expr] = []
-    for node in ast.iter_child_nodes(stmt):
-        if isinstance(node, ast.expr):
-            exprs.append(node)
-    return exprs
-
-
-def block_envs(states: Dict[int, Tuple[Env, Env]], block: Block,
-               transfer: Transfer) -> Iterator[Tuple[ast.stmt, Env]]:
-    """(statement, env-before-it) pairs of one block, replaying transfers.
-
-    Lets clients inspect the environment at statement granularity without
-    the engine having to store one env per statement.
-    """
-    env_in, _ = states.get(block.index, ({}, {}))
-    env = env_in
-    for stmt in block.stmts:
-        yield stmt, env
-        env = transfer(stmt, env)

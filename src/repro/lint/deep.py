@@ -10,8 +10,8 @@ One :class:`DeepAnalyzer` run does, in order:
    when its own content changed or when anything it (transitively) imports
    is dirty — exactly the set whose cross-module findings could differ;
 4. **analyze** dirty modules with the three deep rule packs (FLOW via
-   :mod:`.flowrules` + :mod:`.callgraph`, SHAPE via :mod:`.shapes`, UNIT
-   via :mod:`.units`) over a symbol table built from *all* summaries, and
+   :mod:`.flowrules`, SHAPE via :mod:`.shapes`, UNIT via :mod:`.units`)
+   over a symbol table built from *all* summaries, and
    reuse cached findings for clean modules;
 5. run the opt-in whole-program CONC pack (:mod:`.concurrency`).  Its
    per-module lock *models* ride the same cache by content hash; its
@@ -46,19 +46,19 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .callgraph import CallGraph
 from .config import LintConfig, default_config
 from .engine import (Finding, display_path, module_name, suppressed_lines)
-from .flowrules import (check_anonymous_raises, check_parallel_rng,
-                        check_raise_provenance, check_resource_paths)
+from .flowrules import (check_anonymous_raises, check_raise_provenance,
+                        check_resource_paths)
 from .shapes import ShapeContract, check_call_edges
 from .symbols import ModuleSummary, SymbolTable, summarize_module
 from .units import UnitDeclarations, check_units, load_declarations
 
 #: Bump when any deep pack's semantics change: stale caches self-invalidate.
 #: v2: the cache fingerprint covers the enabled pack set + per-pack
-#: versions.  v3: module summaries no longer carry import sites.
-ANALYSIS_VERSION = "repro-lint-deep/3"
+#: versions.  v3: module summaries no longer carry import sites.  v4: nor
+#: call sites, RNG sources or process-pool map sites.
+ANALYSIS_VERSION = "repro-lint-deep/4"
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE = ".repro-lint-cache.json"
@@ -211,7 +211,6 @@ class DeepAnalyzer:
 
         dirty = self._propagate_dirty(states, summaries)
         table = SymbolTable(summaries)
-        graph = CallGraph(table)
 
         findings: List[Finding] = []
         fresh_cache: Dict[str, Dict[str, object]] = dict(retained)
@@ -224,7 +223,7 @@ class DeepAnalyzer:
                     self._parse(state)
                 if state.tree is None:
                     continue
-                state.findings = self._analyze_module(state, table, graph)
+                state.findings = self._analyze_module(state, table)
                 stats.modules_analyzed += 1
             else:
                 entry = cached.get(module, {})
@@ -371,13 +370,12 @@ class DeepAnalyzer:
                     frontier.append(importer)
         return dirty
 
-    def _analyze_module(self, state: _ModuleState, table: SymbolTable,
-                        graph: CallGraph) -> List[Finding]:
+    def _analyze_module(self, state: _ModuleState,
+                        table: SymbolTable) -> List[Finding]:
         assert state.summary is not None and state.tree is not None
         summary, tree = state.summary, state.tree
         lines = state.source.splitlines()
         findings: List[Finding] = []
-        findings.extend(check_parallel_rng(summary, tree, lines, graph))
         findings.extend(check_resource_paths(summary, tree, lines))
         findings.extend(check_raise_provenance(summary, tree, lines))
         findings.extend(check_anonymous_raises(summary, tree, lines))
@@ -502,9 +500,6 @@ class DeepRuleInfo:
 
 #: The deep rules, for ``--list-rules``, ``--select`` and ``--ignore``.
 DEEP_RULE_CATALOGUE: Tuple[DeepRuleInfo, ...] = (
-    DeepRuleInfo("FLOW001", "rng-into-parallel-task", "error",
-                 "unseeded/shared RNG reaches a parallel_map task "
-                 "(cross-module)"),
     DeepRuleInfo("FLOW002", "resource-path-leak", "warning",
                  "Span/pool/file has a CFG path to exit that skips close"),
     DeepRuleInfo("FLOW003", "error-without-provenance", "error",

@@ -1,22 +1,7 @@
-"""FLOW rule pack: dataflow/callgraph findings over the deep tier.
+"""FLOW rule pack: dataflow findings over the deep tier.
 
-Three rules, all built on the CFG (:mod:`.cfg`), the dataflow engine
-(:mod:`.dataflow`) and the project symbol table (:mod:`.symbols`):
-
-**FLOW001 — RNG reaching a parallel task.**  Two shapes:
-
-* *interprocedural*: the task function handed to ``parallel_map`` —
-  resolved through aliased imports and re-exports, across module
-  boundaries — reaches (transitively, through the call graph) a call that
-  creates unseeded or process-global NumPy RNG state.  This supersedes
-  PAR001's local-only view: PAR001 sees a lambda in the same file, FLOW001
-  sees ``parallel_map(fn=sim.label_net, ...)`` calling into a helper three
-  modules away that does ``np.random.default_rng()``.
-* *local taint*: a ``Generator`` constructed in the calling function flows
-  (through assignments) into the ``parallel_map`` call itself — a shared
-  generator shipped to workers, which makes results depend on the
-  item→worker assignment even when seeded.  Per-task streams must come
-  from ``SeedSequence.spawn`` material instead.
+Three rules, built on the CFG (:mod:`.cfg`), the dataflow engine
+(:mod:`.dataflow`) and the module summaries (:mod:`.symbols`):
 
 **FLOW002 — resource with a close-skipping path.**  A ``Span``/pool/file
 object bound to a local has a CFG path from its creation to a *normal*
@@ -29,8 +14,8 @@ still better, but the rule only claims what the CFG proves.
 :mod:`repro.robustness.errors` exception is raised with no ``net=``,
 ``design=``, ``sink=``, ``stage=`` or ``tier=`` keyword reaching the raise
 site — including when the error object was constructed earlier and raised
-later (resolved through reaching definitions).  ``WorkerError`` is exempt
-(it defaults its own ``stage``), as is re-raising a caught exception.
+later (resolved through reaching definitions).  Re-raising a caught
+exception is exempt.
 
 **FLOW004 — anonymous error where provenance is in scope.**  A bare
 ``ValueError``/``RuntimeError``/``TypeError`` raised inside a function
@@ -43,22 +28,18 @@ with plain ``ValueError`` stays idiomatic.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .callgraph import CallGraph, display_chain
-from .cfg import CFG, Block, EDGE_NORMAL, function_cfgs, is_control
-from .dataflow import (Env, ReachingDefinitions, TaintAnalysis, block_envs,
-                       run_forward, statement_expressions)
+from .cfg import CFG, Block, EDGE_NORMAL, function_cfgs
+from .dataflow import Env, ReachingDefinitions, run_forward
 from .engine import Finding, SEVERITY_ERROR, SEVERITY_WARNING
 from .symbols import ModuleSummary, canonical_name, dotted_name
 
-FLOW_RNG_RULE = "FLOW001"
 FLOW_RESOURCE_RULE = "FLOW002"
 FLOW_PROVENANCE_RULE = "FLOW003"
 FLOW_ANONYMOUS_RULE = "FLOW004"
 
 #: Taxonomy exceptions whose raise sites must carry provenance keywords.
-#: WorkerError is absent on purpose — its constructor defaults ``stage``.
 PROVENANCE_ERRORS = frozenset({
     "EstimationError", "InputError", "NumericalError", "ModelError"})
 
@@ -84,113 +65,6 @@ def _snippet(lines: Sequence[str], lineno: int) -> str:
     if 1 <= lineno <= len(lines):
         return lines[lineno - 1].strip()
     return ""
-
-
-# ----------------------------------------------------------------------
-# FLOW001
-# ----------------------------------------------------------------------
-def check_parallel_rng(summary: ModuleSummary, tree: ast.Module,
-                       lines: Sequence[str],
-                       graph: CallGraph) -> Iterator[Finding]:
-    """FLOW001 findings of one module."""
-    yield from _interprocedural_rng(summary, lines, graph)
-    yield from _local_rng_taint(summary, tree, lines)
-
-
-def _interprocedural_rng(summary: ModuleSummary, lines: Sequence[str],
-                         graph: CallGraph) -> Iterator[Finding]:
-    table = graph.table
-    for fn in summary.functions.values():
-        for site in fn.parallel_maps:
-            if site.task.startswith("<"):
-                continue  # PAR001's territory (lambda / non-name exprs)
-            resolved = table.resolve(summary.module, site.task)
-            if resolved is None:
-                continue
-            chain = graph.find_path(
-                resolved, lambda _node, target: bool(target.rng_sources))
-            if chain is None:
-                continue
-            sink = graph.function(chain[-1])
-            assert sink is not None and sink.rng_sources
-            source = sink.rng_sources[0]
-            yield Finding(
-                rule=FLOW_RNG_RULE, severity=SEVERITY_ERROR,
-                path=summary.path, line=site.line, col=site.col,
-                message=(f"parallel_map task {site.task!r} reaches "
-                         f"{source.what}() (line {source.line} of "
-                         f"{chain[-1][0].split('.')[-1]} via "
-                         f"{display_chain(chain)}); workers must derive "
-                         f"RNG from SeedSequence.spawn material in the "
-                         f"task item"),
-                snippet=_snippet(lines, site.line))
-
-
-def _local_rng_taint(summary: ModuleSummary, tree: ast.Module,
-                     lines: Sequence[str]) -> Iterator[Finding]:
-    def is_generator_source(call: ast.Call) -> bool:
-        written = dotted_name(call.func)
-        if written is None:
-            return False
-        canonical = canonical_name(summary, written)
-        tail = canonical.split(".")[-1]
-        if tail in ("default_rng", "RandomState"):
-            return True
-        return canonical in ("numpy.random.Generator",)
-
-    for name, cfg in function_cfgs(tree):
-        fn = summary.functions.get(name)
-        if fn is None or not fn.parallel_maps:
-            continue
-        taint = TaintAnalysis(cfg, is_generator_source)
-        pm_lines = {site.line for site in fn.parallel_maps}
-        for block in cfg.blocks:
-            for stmt, env in block_envs(taint.states, block,
-                                        taint._transfer):
-                for call in _stmt_calls(stmt):
-                    if call.lineno not in pm_lines:
-                        continue
-                    written = dotted_name(call.func)
-                    if written is None \
-                            or written.split(".")[-1] != "parallel_map":
-                        continue
-                    facts = _call_argument_taints(taint, call, env)
-                    if not facts:
-                        continue
-                    source_line = min(fact[1] for fact in facts
-                                      if isinstance(fact, tuple))
-                    yield Finding(
-                        rule=FLOW_RNG_RULE, severity=SEVERITY_ERROR,
-                        path=summary.path, line=call.lineno,
-                        col=call.col_offset,
-                        message=(f"a NumPy Generator constructed at line "
-                                 f"{source_line} flows into this "
-                                 f"parallel_map call; ship "
-                                 f"SeedSequence.spawn children and build "
-                                 f"the generator inside the task instead "
-                                 f"of sharing one across workers"),
-                        snippet=_snippet(lines, call.lineno))
-
-
-def _call_argument_taints(taint: TaintAnalysis, call: ast.Call,
-                          env: Env) -> FrozenSet[object]:
-    facts: FrozenSet[object] = frozenset()
-    for arg in list(call.args) + [k.value for k in call.keywords]:
-        facts |= taint.expr_taints(arg, env)
-    return facts
-
-
-def _stmt_calls(stmt: ast.stmt) -> Iterator[ast.Call]:
-    if is_control(stmt):
-        exprs = statement_expressions(stmt)
-        for expr in exprs:
-            for node in ast.walk(expr):
-                if isinstance(node, ast.Call):
-                    yield node
-        return
-    for node in ast.walk(stmt):
-        if isinstance(node, ast.Call):
-            yield node
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,6 @@ NUM001      no raw ``np.linalg`` solves outside the guarded modules
 NUM002      no ``==``/``!=`` against float literals in numeric modules
 ERR001      no bare ``except:``
 ERR002      broad ``except Exception`` must re-raise or use the taxonomy
-PAR001      ``parallel_map`` callables must be module-level functions
-PAR002      task functions must not read module-level mutable state
 DOC001      internal markdown links must resolve (non-AST rule)
 ==========  ==========================================================
 
@@ -29,7 +27,7 @@ docs/LINTING.md).
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .docrules import DocLinkRule
 from .engine import SEVERITY_WARNING, Finding, ModuleContext, Rule
@@ -37,7 +35,7 @@ from .engine import SEVERITY_WARNING, Finding, ModuleContext, Rule
 #: Exception types of :mod:`repro.robustness.errors`; constructing (or
 #: raising) one inside a broad handler satisfies the ERR002 contract.
 TAXONOMY_ERRORS = ("EstimationError", "InputError", "NumericalError",
-                   "ModelError", "WorkerError")
+                   "ModelError")
 
 #: Legacy ``np.random`` module-level functions that mutate process-global
 #: RNG state.  ``default_rng``/``SeedSequence``/``Generator`` are the
@@ -105,14 +103,14 @@ def _has_segment(ctx: ModuleContext, segments: Sequence[str]) -> bool:
 # Determinism
 # ----------------------------------------------------------------------
 class LegacyGlobalRngRule(Rule):
-    """DET001 — NumPy RNG use that breaks jobs-invariant reproducibility.
+    """DET001 — NumPy RNG use that breaks run-to-run reproducibility.
 
     Three shapes are flagged: the legacy process-global API
     (``np.random.seed`` / ``np.random.rand`` / ...), ``default_rng()``
     called without a seed, and *any* ``np.random`` call at module scope
     (import-time RNG state makes results depend on import order).  The
     sanctioned pattern is a seeded ``np.random.Generator`` passed as a
-    parameter, with per-task streams from ``SeedSequence.spawn``.
+    parameter, with independent streams from ``SeedSequence.spawn``.
     """
 
     name = "DET001"
@@ -409,143 +407,6 @@ class BroadExceptContractRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# Parallel safety
-# ----------------------------------------------------------------------
-def _parallel_map_calls(tree: ast.Module) -> Iterator[ast.Call]:
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        dotted = dotted_name(node.func)
-        if dotted is not None and dotted.split(".")[-1] == "parallel_map":
-            yield node
-
-
-def _task_and_initializer_args(call: ast.Call
-                               ) -> Iterator[Tuple[str, ast.expr]]:
-    if call.args:
-        yield "task function", call.args[0]
-    for keyword in call.keywords:
-        if keyword.arg == "fn":
-            yield "task function", keyword.value
-        elif keyword.arg == "initializer":
-            yield "initializer", keyword.value
-
-
-class ParallelCallableRule(Rule):
-    """PAR001 — ``parallel_map`` callables must be module-level functions.
-
-    A lambda or nested function handed to the process pool drags its
-    closure through pickle: it fails outright under the ``spawn`` start
-    method and, worse, under ``fork`` it silently snapshots parent state
-    (RNGs, caches) at fork time.  Only module-level functions are safe
-    under every start method.
-    """
-
-    name = "PAR001"
-    slug = "parallel-callable"
-    summary = "lambda / nested function passed to parallel_map"
-
-    def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
-        nested: Set[str] = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for inner in ast.walk(node):
-                    if inner is not node and isinstance(
-                            inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        nested.add(inner.name)
-        for call in _parallel_map_calls(ctx.tree):
-            for role, expr in _task_and_initializer_args(call):
-                if isinstance(expr, ast.Lambda):
-                    yield self.finding(
-                        ctx, expr.lineno, expr.col_offset,
-                        f"lambda as parallel_map {role} is not picklable "
-                        f"under the spawn start method; use a module-level "
-                        f"function")
-                elif isinstance(expr, ast.Name) and expr.id in nested:
-                    yield self.finding(
-                        ctx, expr.lineno, expr.col_offset,
-                        f"parallel_map {role} {expr.id!r} is defined inside "
-                        f"another function; closures are not spawn-safe — "
-                        f"hoist it to module level")
-
-
-class ParallelMutableGlobalRule(Rule):
-    """PAR002 — task functions must not read module-level mutable state.
-
-    Under ``fork`` a task function reading a module-level list/dict/RNG
-    sees a point-in-time copy of parent state; under ``spawn`` it sees a
-    freshly imported module.  Either way the result depends on the start
-    method and worker count — exactly what the jobs-invariance guarantee
-    forbids.  Per-task state must arrive through the task item or the pool
-    initializer (the ``_WORKER_*`` pattern: a module global that is
-    ``None`` until the initializer assigns it in each worker).
-    """
-
-    name = "PAR002"
-    slug = "parallel-mutable-global"
-    summary = "parallel task function reads module-level mutable state"
-
-    _MUTABLE_CALLS = frozenset({"default_rng", "Random", "RandomState",
-                                "OrderedDict", "defaultdict", "deque",
-                                "list", "dict", "set"})
-
-    def _mutable_globals(self, tree: ast.Module) -> Set[str]:
-        names: Set[str] = set()
-        for stmt in tree.body:
-            targets: List[ast.expr] = []
-            value: Optional[ast.expr] = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            if value is None:
-                continue
-            mutable = isinstance(value, (ast.List, ast.Dict, ast.Set,
-                                         ast.ListComp, ast.DictComp,
-                                         ast.SetComp))
-            if not mutable and isinstance(value, ast.Call):
-                dotted = dotted_name(value.func)
-                mutable = dotted is not None and \
-                    dotted.split(".")[-1] in self._MUTABLE_CALLS
-            if not mutable:
-                continue
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        return names
-
-    def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
-        mutable = self._mutable_globals(ctx.tree)
-        if not mutable:
-            return
-        task_names: Set[str] = set()
-        for call in _parallel_map_calls(ctx.tree):
-            for role, expr in _task_and_initializer_args(call):
-                if role == "task function" and isinstance(expr, ast.Name):
-                    task_names.add(expr.id)
-        if not task_names:
-            return
-        for stmt in ctx.tree.body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    or stmt.name not in task_names:
-                continue
-            locally_bound = {
-                arg.arg for arg in (stmt.args.args + stmt.args.kwonlyargs
-                                    + stmt.args.posonlyargs)}
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) \
-                        and isinstance(node.ctx, ast.Load) \
-                        and node.id in mutable \
-                        and node.id not in locally_bound:
-                    yield self.finding(
-                        ctx, node.lineno, node.col_offset,
-                        f"parallel task function {stmt.name!r} reads "
-                        f"module-level mutable {node.id!r}; worker state "
-                        f"must arrive via the task item or the pool "
-                        f"initializer")
-
-
-# ----------------------------------------------------------------------
 def default_rules() -> List[Rule]:
     """One fresh instance of every rule, in catalogue order."""
     return [
@@ -557,7 +418,5 @@ def default_rules() -> List[Rule]:
         FloatEqualityRule(),
         BareExceptRule(),
         BroadExceptContractRule(),
-        ParallelCallableRule(),
-        ParallelMutableGlobalRule(),
         DocLinkRule(),
     ]

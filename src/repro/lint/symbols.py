@@ -1,19 +1,17 @@
 """Project-wide symbol table: per-module summaries for cross-module analysis.
 
 The deep (``--deep``) tier analyses the project one module at a time but
-reasons across modules: a ``parallel_map`` call in ``repro.data.generate``
-may name a task function defined in ``repro.analysis.simulator`` through two
-levels of aliased re-export.  The bridge is the :class:`ModuleSummary` — a
-JSON-serializable digest of one module holding exactly the facts the
-cross-module rule packs consume:
+reasons across modules: a call in one module may name a function defined
+in another through aliased imports and package re-exports, and SHAPE
+checks that call against the callee's contract.  The bridge is the
+:class:`ModuleSummary` — a JSON-serializable digest of one module holding
+exactly the facts the cross-module rule packs consume:
 
 * the **import alias table** (``import numpy as np`` → ``np``,
   ``from ..obs import get_metrics`` → ``get_metrics``), with relative
   imports resolved against the module's dotted name;
-* every **top-level function and method** with its parameter list, the
-  dotted call targets it makes, its unseeded-RNG creation sites (the FLOW001
-  sources), and its shape/dtype contract when annotated (SHAPE001/002);
-* every **parallel_map call site** with the task-function expression.
+* every **top-level function and method** with its parameter list and
+  its shape/dtype contract when annotated (SHAPE001/002).
 
 Summaries are what the incremental cache persists: they are derived purely
 from one module's source text, so a module's summary is valid exactly as
@@ -29,18 +27,6 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .shapes import ShapeContract, parse_contract
 
-#: Call names (canonical, alias-resolved) that create an unseeded or
-#: process-global NumPy generator — the FLOW001 taint sources.
-UNSEEDED_RNG_CALLS = frozenset({
-    "numpy.random.default_rng",  # only when called with no arguments
-})
-
-LEGACY_RNG_PREFIX = "numpy.random."
-LEGACY_RNG_TAILS = frozenset({
-    "seed", "rand", "randn", "randint", "random", "random_sample", "ranf",
-    "sample", "uniform", "normal", "standard_normal", "choice", "shuffle",
-    "permutation", "get_state", "set_state"})
-
 
 def dotted_name(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for an attribute chain rooted at a plain name, else None."""
@@ -55,65 +41,12 @@ def dotted_name(node: ast.AST) -> Optional[str]:
 
 
 @dataclass
-class CallSite:
-    """One call made inside a function body, by written dotted name."""
-
-    name: str
-    line: int
-    col: int
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "line": self.line, "col": self.col}
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "CallSite":
-        return cls(str(raw["name"]), int(raw["line"]), int(raw["col"]))
-
-
-@dataclass
-class RngSource:
-    """One unseeded / process-global RNG creation site (FLOW001 source)."""
-
-    line: int
-    col: int
-    what: str
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"line": self.line, "col": self.col, "what": self.what}
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "RngSource":
-        return cls(int(raw["line"]), int(raw["col"]), str(raw["what"]))
-
-
-@dataclass
-class ParallelMapSite:
-    """One ``parallel_map(...)`` call with its task-function expression."""
-
-    line: int
-    col: int
-    #: Dotted name of the task argument as written (``"run_task"``,
-    #: ``"simulator.label_net"``) or ``"<lambda>"`` / ``"<expr>"``.
-    task: str
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"line": self.line, "col": self.col, "task": self.task}
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "ParallelMapSite":
-        return cls(int(raw["line"]), int(raw["col"]), str(raw["task"]))
-
-
-@dataclass
 class FunctionSummary:
     """Cross-module-relevant facts of one function or method."""
 
     qualname: str
     line: int
     params: List[str] = field(default_factory=list)
-    calls: List[CallSite] = field(default_factory=list)
-    rng_sources: List[RngSource] = field(default_factory=list)
-    parallel_maps: List[ParallelMapSite] = field(default_factory=list)
     contract: Optional[ShapeContract] = None
 
     def as_dict(self) -> Dict[str, Any]:
@@ -121,9 +54,6 @@ class FunctionSummary:
             "qualname": self.qualname,
             "line": self.line,
             "params": list(self.params),
-            "calls": [c.as_dict() for c in self.calls],
-            "rng_sources": [r.as_dict() for r in self.rng_sources],
-            "parallel_maps": [p.as_dict() for p in self.parallel_maps],
             "contract": self.contract.as_dict() if self.contract else None,
         }
 
@@ -133,11 +63,6 @@ class FunctionSummary:
         return cls(
             qualname=str(raw["qualname"]), line=int(raw["line"]),
             params=[str(p) for p in raw.get("params", [])],
-            calls=[CallSite.from_dict(c) for c in raw.get("calls", [])],
-            rng_sources=[RngSource.from_dict(r)
-                         for r in raw.get("rng_sources", [])],
-            parallel_maps=[ParallelMapSite.from_dict(p)
-                           for p in raw.get("parallel_maps", [])],
             contract=ShapeContract.from_dict(contract) if contract else None)
 
 
@@ -149,9 +74,10 @@ class ModuleSummary:
     path: str
     is_package: bool = False
     #: alias → (target module, symbol or None).  ``import numpy as np``
-    #: maps ``np`` to ``("numpy", None)``; ``from .pool import parallel_map``
-    #: in ``repro.parallel`` maps ``parallel_map`` to
-    #: ``("repro.parallel.pool", "parallel_map")``.
+    #: maps ``np`` to ``("numpy", None)``; ``from .ceff import
+    #: effective_capacitance`` in ``repro.liberty`` maps
+    #: ``effective_capacitance`` to ``("repro.liberty.ceff",
+    #: "effective_capacitance")``.
     imports: Dict[str, Tuple[str, Optional[str]]] = field(default_factory=dict)
     #: imported module names (the import-graph edges, pre-filter).
     imported_modules: List[str] = field(default_factory=list)
@@ -209,7 +135,7 @@ def summarize_module(module: str, path: str, tree: ast.Module,
     _collect_imports(summary, tree)
     for qualname, node in _function_defs(tree):
         summary.functions[qualname] = _summarize_function(
-            summary, qualname, node, lines)
+            qualname, node, lines)
     return summary
 
 
@@ -254,51 +180,14 @@ def _function_defs(tree: ast.Module
                     yield f"{node.name}.{item.name}", item
 
 
-def _summarize_function(summary: ModuleSummary, qualname: str,
-                        node: ast.FunctionDef,
+def _summarize_function(qualname: str, node: ast.FunctionDef,
                         lines: List[str]) -> FunctionSummary:
     args = node.args
     params = [a.arg for a in (args.posonlyargs + args.args
                               + args.kwonlyargs)]
-    fn = FunctionSummary(qualname=qualname, line=node.lineno, params=params,
-                         contract=parse_contract(node, lines))
-    for inner in ast.walk(node):
-        if not isinstance(inner, ast.Call):
-            continue
-        written = dotted_name(inner.func)
-        if written is None:
-            continue
-        fn.calls.append(CallSite(written, inner.lineno, inner.col_offset))
-        canonical = canonical_name(summary, written)
-        if _is_unseeded_rng(canonical, inner):
-            fn.rng_sources.append(RngSource(
-                inner.lineno, inner.col_offset, canonical))
-        if canonical.split(".")[-1] == "parallel_map":
-            fn.parallel_maps.append(ParallelMapSite(
-                inner.lineno, inner.col_offset, _task_expr(inner)))
-    return fn
-
-
-def _task_expr(call: ast.Call) -> str:
-    expr: Optional[ast.expr] = call.args[0] if call.args else None
-    for keyword in call.keywords:
-        if keyword.arg == "fn":
-            expr = keyword.value
-    if expr is None:
-        return "<missing>"
-    if isinstance(expr, ast.Lambda):
-        return "<lambda>"
-    written = dotted_name(expr)
-    return written if written is not None else "<expr>"
-
-
-def _is_unseeded_rng(canonical: str, call: ast.Call) -> bool:
-    if canonical in UNSEEDED_RNG_CALLS:
-        return not call.args and not call.keywords
-    if canonical.startswith(LEGACY_RNG_PREFIX) \
-            and canonical[len(LEGACY_RNG_PREFIX):] in LEGACY_RNG_TAILS:
-        return True
-    return False
+    return FunctionSummary(qualname=qualname, line=node.lineno,
+                           params=params,
+                           contract=parse_contract(node, lines))
 
 
 def canonical_name(summary: ModuleSummary, written: str) -> str:
@@ -321,9 +210,9 @@ def canonical_name(summary: ModuleSummary, written: str) -> str:
 class SymbolTable:
     """All module summaries plus cross-module name resolution.
 
-    Resolution chases re-exports: ``repro.parallel.parallel_map`` (the
-    package ``__init__`` alias) resolves to the defining
-    ``repro.parallel.pool.parallel_map`` as long as each hop is a
+    Resolution chases re-exports: ``repro.liberty.effective_capacitance``
+    (the package ``__init__`` alias) resolves to the defining
+    ``repro.liberty.ceff.effective_capacitance`` as long as each hop is a
     ``from X import y`` binding recorded in a summary.
     """
 

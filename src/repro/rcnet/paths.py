@@ -67,7 +67,8 @@ def shortest_path_tree(net: RCNet, weight: str = "resistance"
     ``"hops"`` for unweighted BFS-style distances.  The resistance tree,
     which ceff, node features, downstream caps and wire paths all read,
     is computed once per net and memoized on it; a net never changes, and
-    :meth:`RCNet.scaled` and the ECO edits build new ones.
+    :meth:`RCNet.scaled` and the ECO edits build new ones.  A reachable
+    edge with negative resistance raises :class:`InputError`.
     """
     if weight not in ("resistance", "hops"):
         raise InputError(f"unknown weight {weight!r}",
@@ -92,6 +93,12 @@ def _dijkstra(net: RCNet, hops: bool) -> ShortestPathTree:
             continue
         for neighbor, edge_index in net.adjacency[node]:
             step = 1.0 if hops else net.edges[edge_index].resistance
+            if step < 0.0:
+                # An undirected negative edge relaxes back and forth
+                # without end; NaN and zero cannot loop.
+                raise InputError(
+                    f"edge {edge_index} has negative resistance {step}",
+                    net=net.name, stage="paths")
             nd = d + step
             if nd < dist[neighbor]:
                 dist[neighbor] = nd

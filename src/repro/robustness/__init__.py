@@ -14,8 +14,7 @@ builds on ``design.sta`` — would be circular.
 """
 
 from .errors import (DeadlineError, EstimationError, InputError, ModelError,
-                     NumericalError, OverloadError, TrainingDiverged,
-                     WorkerError)
+                     NumericalError, OverloadError, TrainingDiverged)
 from .guards import (MAX_CONDITION, check_conditioning, guarded_eigh,
                      require_finite, symmetric_condition)
 
@@ -31,7 +30,6 @@ _LAZY = {
     "SlowTierModel": "faultinject",
     "RC_FAULT_MODES": "faultinject",
     "coupling_only_sink_net": "faultinject",
-    "crashing_task": "faultinject",
     "pathological_nets": "faultinject",
     "resistance_spread_chain": "faultinject",
     "singular_mna_net": "faultinject",
@@ -40,7 +38,7 @@ _LAZY = {
 
 __all__ = [
     "EstimationError", "InputError", "NumericalError", "ModelError",
-    "TrainingDiverged", "WorkerError", "OverloadError", "DeadlineError",
+    "TrainingDiverged", "OverloadError", "DeadlineError",
     "MAX_CONDITION", "require_finite", "check_conditioning",
     "guarded_eigh", "symmetric_condition",
     *sorted(_LAZY),

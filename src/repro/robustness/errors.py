@@ -11,9 +11,7 @@ cause instead of surfacing as anonymous ``ValueError`` stack traces:
   down (ill-conditioned MNA operator, non-finite simulator output, a
   threshold crossing that never happens);
 * :class:`ModelError` — a learned model misbehaved (non-finite predictions,
-  corrupted weights, missing context);
-* :class:`WorkerError` — a parallel worker process died abruptly (crash,
-  OOM kill) while serving a task of :func:`repro.parallel.parallel_map`.
+  corrupted weights, missing context).
 
 All of them subclass :class:`EstimationError`, which itself subclasses
 ``ValueError`` so call sites written against the old ad-hoc exceptions keep
@@ -78,23 +76,6 @@ class NumericalError(EstimationError):
 
 class ModelError(EstimationError):
     """A learned model produced unusable output or was misused."""
-
-
-class WorkerError(EstimationError):
-    """A parallel worker process died abruptly while serving a task.
-
-    Raised (or recorded, when the caller degrades instead of aborting) by
-    :func:`repro.parallel.parallel_map` when a child process exits without
-    returning — a segfault, an ``os._exit``, or an OOM kill.  ``stage`` is
-    always ``"parallel"``; the failed task index travels in ``sink`` for
-    lack of a dedicated field, and :attr:`task_index` carries it typed.
-    """
-
-    def __init__(self, message: str, *, task_index: Optional[int] = None,
-                 **kwargs) -> None:
-        kwargs.setdefault("stage", "parallel")
-        super().__init__(message, **kwargs)
-        self.task_index = task_index
 
 
 class OverloadError(EstimationError):

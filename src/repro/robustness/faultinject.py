@@ -293,20 +293,3 @@ def pathological_nets() -> List[RCNet]:
     """The standard campaign targets for numerical-guard testing."""
     return [zero_cap_junction_chain(), resistance_spread_chain(),
             coupling_only_sink_net(), singular_mna_net()]
-
-
-def crashing_task(item):
-    """Worker-process fault: dies abruptly in a pool worker, succeeds inline.
-
-    Inside a child process this calls ``os._exit`` — the hard death (no
-    exception, no cleanup) that a segfault or OOM kill produces, which is
-    what :func:`repro.parallel.parallel_map` must contain.  In the parent
-    process it simply returns ``item``, so the in-parent serial retry tier
-    recovers the task and the map completes.
-    """
-    import multiprocessing
-    import os
-
-    if multiprocessing.parent_process() is not None:
-        os._exit(13)
-    return item

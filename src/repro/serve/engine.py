@@ -317,10 +317,9 @@ class EstimationEngine:
                                 reason: str) -> None:
         """Crash-recovery tier: finish a batch on the lumped-RC ladder.
 
-        The serial-retry idiom of :func:`repro.parallel.parallel_map`
-        applied to threads: after a worker dies mid-batch, its tickets are
-        re-served here on the tier that cannot fail, so the crash costs
-        accuracy, never answers.  Already-finished tickets are skipped
+        After a worker thread dies mid-batch, its tickets are re-served
+        here on the tier that cannot fail, so the crash costs accuracy,
+        never answers.  Already-finished tickets are skipped
         (``Ticket.finish`` is first-writer-wins).
         """
         get_metrics().counter("serve.last_resort_retries").inc()

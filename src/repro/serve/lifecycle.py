@@ -12,9 +12,9 @@ State machine: ``starting -> ready -> draining -> stopped``.
   SIGTERM handler by the CLI, so an orchestrator's stop is lossless.
 * **Crash recovery** — worker threads are supervised.  A worker that
   dies mid-batch first finishes its batch on the last-resort tier (the
-  serial-retry idiom of :mod:`repro.parallel`: the crash costs accuracy,
-  never answers), then the supervisor spawns a replacement, up to a
-  restart budget; exhausting the budget marks the service unhealthy.
+  crash costs accuracy, never answers), then the supervisor spawns a
+  replacement, up to a restart budget; exhausting the budget marks the
+  service unhealthy.
 """
 
 from __future__ import annotations

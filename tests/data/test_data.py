@@ -1,12 +1,19 @@
 """Dataset pipeline: generation, splits, serialization."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from repro.analysis import GoldenTimer
+from repro.analysis.cache import get_solve_cache
 from repro.data import (by_design, collect_labels, design_net_samples,
                         generate_dataset, load_dataset, nontree_only,
                         save_dataset, train_val_split, tree_only)
 from repro.design import DesignSpec, generate_design
+from repro.features import NetContext, build_net_sample
+from repro.liberty.ceff import effective_capacitance
+from repro.robustness import FaultInjector, InputError
 
 
 @pytest.fixture(scope="module")
@@ -116,29 +123,109 @@ class TestSerialization:
             s.num_paths for s in dataset.train)
 
 
-class TestParallelGeneration:
-    def test_n_jobs_matches_serial(self):
-        """Worker-process generation is bit-identical to in-process."""
-        kwargs = dict(train_names=["PCI_BRIDGE"], test_names=["WB_DMA"],
-                      scale=2000, nets_per_design=8, seed=5)
-        serial = generate_dataset(n_jobs=1, **kwargs)
-        parallel = generate_dataset(n_jobs=2, **kwargs)
-        assert len(serial.train) == len(parallel.train)
-        for a, b in zip(serial.train + serial.test,
-                        parallel.train + parallel.test):
-            assert a.name == b.name
-            np.testing.assert_allclose(a.node_features, b.node_features)
-            for pa, pb in zip(a.paths, b.paths):
-                assert pa.label_delay == pb.label_delay
+def _assert_samples_equal(lhs, rhs):
+    assert len(lhs) == len(rhs)
+    for a, b in zip(lhs, rhs):
+        assert (a.name, a.design, a.is_tree) == (b.name, b.design, b.is_tree)
+        np.testing.assert_array_equal(a.node_features, b.node_features)
+        np.testing.assert_array_equal(a.adjacency, b.adjacency)
+        assert len(a.paths) == len(b.paths)
+        for pa, pb in zip(a.paths, b.paths):
+            assert (pa.sink, pa.node_indices) == (pb.sink, pb.node_indices)
+            np.testing.assert_array_equal(pa.features, pb.features)
+            assert (pa.label_slew, pa.label_delay, pa.input_slew_ps) == \
+                (pb.label_slew, pb.label_delay, pb.input_slew_ps)
 
-    def test_custom_library_parallel(self, library):
-        """Cells ship inside each task, so custom libraries parallelize."""
+
+def _reference_sample(netlist, net, si_mode):
+    """One net labelled alone: the scalar solve, no batch engine."""
+    drive = netlist.gates[net.driver].cell
+    loads = [netlist.gates[load.gate].cell for load in net.loads]
+    sink_loads = np.array([cell.input_cap for cell in loads])
+    ceff = effective_capacitance(net.rcnet, drive.drive_resistance,
+                                 sink_loads)
+    _, input_slew = drive.delay_and_slew(20e-12, ceff)
+    context = NetContext(input_slew=input_slew, drive_cell=drive,
+                         load_cells=loads)
+    return build_net_sample(
+        net.rcnet, context, design=netlist.name,
+        timer=GoldenTimer(drive_resistance=drive.drive_resistance,
+                          si_mode=si_mode))
+
+
+@pytest.fixture
+def mixed_design(library):
+    return generate_design(DesignSpec("mixed", n_combinational=30, n_ffs=4,
+                                      n_paths=5, seed=4, nontree_frac=0.4),
+                           library)
+
+
+class TestBatchedLabels:
+    @pytest.mark.parametrize("si_mode", [True, False])
+    def test_design_net_samples_match_per_net_reference(self, mixed_design,
+                                                        si_mode):
+        """The batched labeller equals, bitwise, each net labelled alone."""
+        get_solve_cache().clear()
+        reference = [_reference_sample(mixed_design, net, si_mode)
+                     for net in mixed_design.nets.values()]
+        get_solve_cache().clear()
+        batched = design_net_samples(mixed_design, si_mode=si_mode)
+        assert any(not s.is_tree for s in batched)
+        _assert_samples_equal(batched, reference)
+
+    def test_custom_library(self, library):
+        """Cells travel inside each task, so a caller's library labels the
+        same nets as the default one."""
         kwargs = dict(train_names=["PCI_BRIDGE"], test_names=["WB_DMA"],
-                      scale=2000, nets_per_design=5, library=library, seed=3)
-        serial = generate_dataset(n_jobs=1, **kwargs)
-        parallel = generate_dataset(n_jobs=2, **kwargs)
-        assert len(serial.train) == len(parallel.train) > 0
-        for a, b in zip(serial.train + serial.test,
-                        parallel.train + parallel.test):
-            assert a.name == b.name
-            np.testing.assert_array_equal(a.node_features, b.node_features)
+                      scale=2000, nets_per_design=5, seed=3)
+        custom = generate_dataset(library=library, **kwargs)
+        default = generate_dataset(**kwargs)
+        assert len(custom.train) == len(default.train) > 0
+        _assert_samples_equal(custom.train + custom.test,
+                              default.train + default.test)
+
+
+class TestBadNet:
+    """A net with a negative resistance: Dijkstra would loop on it."""
+
+    @pytest.fixture
+    def corrupted(self, mixed_design):
+        bad = copy.deepcopy(mixed_design)
+        name = sorted(bad.nets)[3]
+        bad.nets[name].rcnet = FaultInjector(seed=1).corrupt_rc_values(
+            bad.nets[name].rcnet, mode="negative_resistance")
+        return bad, name, bad.nets[name].rcnet.name
+
+    def test_skip_mode_names_net_and_keeps_design_mates(self, mixed_design,
+                                                        corrupted):
+        bad, name, rc_name = corrupted
+        get_solve_cache().clear()
+        clean = design_net_samples(mixed_design)
+        get_solve_cache().clear()
+        skipped = []
+        samples = design_net_samples(bad, skipped=skipped)
+        assert [(s.net, s.design) for s in skipped] == [(name, "mixed")]
+        assert "negative resistance" in skipped[0].reason
+        _assert_samples_equal(samples,
+                              [s for s in clean if s.name != rc_name])
+
+    def test_raise_mode_carries_the_net(self, corrupted):
+        bad, _, rc_name = corrupted
+        with pytest.raises(InputError) as excinfo:
+            design_net_samples(bad, on_error="raise")
+        assert (excinfo.value.net, excinfo.value.stage) == (rc_name, "paths")
+
+
+class TestRepeatedDesign:
+    def test_named_twice_raises_before_generating(self, monkeypatch):
+        import repro.data.generate as generate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a design was generated")
+
+        monkeypatch.setattr(generate, "generate_benchmark", refuse)
+        with pytest.raises(ValueError, match="B19, DMA"):
+            generate_dataset(train_names=["DMA", "B19", "PCI_BRIDGE"],
+                             test_names=["DMA", "B19"])
+        with pytest.raises(ValueError, match="DMA"):
+            generate_dataset(train_names=["DMA", "DMA"], test_names=[])

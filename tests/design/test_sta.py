@@ -160,6 +160,22 @@ class TestStageMemo:
         np.testing.assert_array_equal(report.arrivals(),
                                       [p.arrival for p in alone])
 
+    def test_learned_full_pass_bitwise_equals_paths_timed_alone(
+            self, design, learned, encoder_packs):
+        """The pass binds its nets in packs of one node count; each path
+        timed alone, from a fresh memo, binds one net at a time."""
+        engine = STAEngine(design, learned)
+        encoder_packs.clear()  # the fit's packs
+        report = engine.analyze_design()
+        assert max(encoder_packs) >= 2, encoder_packs
+        encoder_packs.clear()
+        alone = [engine.path_arrival(path) for path in design.paths]
+        assert set(encoder_packs) == {1}
+        assert compare_timing(report.paths, alone) == []
+        np.testing.assert_array_equal(report.arrivals(),
+                                      [p.arrival for p in alone])
+        assert {s.tier for p in report.paths for s in p.stages} == {"model"}
+
     def test_resize_between_calls_matches_fresh_engine(self, design,
                                                        library):
         engine = STAEngine(design, ElmoreWireModel())

@@ -37,6 +37,21 @@ class TestCLI:
         assert os.path.exists(dataset_file)
         assert os.path.getsize(dataset_file) > 0
 
+    @pytest.mark.parametrize("train, test, named", [
+        (["DMA"], ["DMA"], "DMA"), (["PCI_BRIDGE"], ["NOPE"], "NOPE")],
+        ids=["repeated", "unknown"])
+    def test_dataset_bad_design_is_one_error_line(self, workdir, capsys,
+                                                  train, test, named):
+        path = workdir / "bad.npz"
+        code = main(["dataset", "-o", str(path), "--train", *train,
+                     "--test", *test, "--scale", "2000", "--nets", "4"])
+        assert code == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert named in lines[0] and captured.out == ""
+        assert not path.exists()
+
     def test_train_writes_model(self, model_file):
         assert os.path.exists(model_file)
 

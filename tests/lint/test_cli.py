@@ -99,15 +99,14 @@ def test_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
     for name in ("DET001", "DET002", "DET003", "DET004", "NUM001",
-                 "NUM002", "ERR001", "ERR002", "PAR001", "PAR002",
-                 "DOC001"):
+                 "NUM002", "ERR001", "ERR002", "DOC001"):
         assert name in out
 
 
 def test_list_rules_includes_deep_tier(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for name in ("FLOW001", "FLOW002", "FLOW003", "FLOW004",
+    for name in ("FLOW002", "FLOW003", "FLOW004",
                  "SHAPE001", "SHAPE002", "UNIT001"):
         assert name in out
 

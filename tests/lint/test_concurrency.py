@@ -408,27 +408,28 @@ def test_escape001_reaches_through_transitive_calls(conc_lint):
     assert "submit spawn" in escape[0].message
 
 
-def test_escape001_parallel_map_and_global_rebind(conc_lint):
+def test_escape001_thread_target_global_rebind(conc_lint):
     rebind = """\
-        from repro.parallel import parallel_map
+        import threading
 
         TOTAL = 0
 
 
-        def bump(item):
+        def bump():
             global TOTAL
-            TOTAL += item
-            return item
+            TOTAL += 1
 
 
-        def run(items):
-            return parallel_map(bump, items)
+        def run():
+            thread = threading.Thread(target=bump)
+            thread.start()
+            return thread
     """
     findings, _ = conc_lint({"pkg/rebind.py": rebind})
     escape = [f for f in findings if f.rule == "ESCAPE001"]
     assert len(escape) == 1
     assert "TOTAL" in escape[0].message
-    assert "parallel_map spawn" in escape[0].message
+    assert "thread spawn" in escape[0].message
 
 
 def test_escape001_ignores_local_shadows(conc_lint):

@@ -1,10 +1,10 @@
-"""Dataflow engine fixtures: reaching definitions and taint fixpoints."""
+"""Dataflow engine fixtures: reaching-definitions fixpoints."""
 
 import ast
 import textwrap
 
 from repro.lint.cfg import build_cfg
-from repro.lint.dataflow import ReachingDefinitions, TaintAnalysis, block_envs
+from repro.lint.dataflow import ReachingDefinitions
 
 
 def _cfg(source):
@@ -76,57 +76,3 @@ class TestReachingDefinitions:
         rd = ReachingDefinitions(cfg)
         facts = _exit_env(rd, cfg).get("x", frozenset())
         assert {fact[1] for fact in facts} == {2, 4}
-
-
-class TestTaintAnalysis:
-    @staticmethod
-    def _is_rng(call):
-        return (isinstance(call.func, ast.Attribute)
-                and call.func.attr == "default_rng") \
-            or (isinstance(call.func, ast.Name)
-                and call.func.id == "default_rng")
-
-    def test_source_taints_assignment(self):
-        cfg = _cfg('''\
-            def f():
-                rng = default_rng()
-                return rng
-        ''')
-        taint = TaintAnalysis(cfg, self._is_rng)
-        assert _exit_env(taint, cfg).get("rng")
-
-    def test_taint_propagates_through_alias(self):
-        cfg = _cfg('''\
-            def f():
-                rng = default_rng()
-                alias = rng
-                return alias
-        ''')
-        taint = TaintAnalysis(cfg, self._is_rng)
-        assert _exit_env(taint, cfg).get("alias")
-
-    def test_untainted_reassignment_clears(self):
-        cfg = _cfg('''\
-            def f():
-                rng = default_rng()
-                rng = 7
-                return rng
-        ''')
-        taint = TaintAnalysis(cfg, self._is_rng)
-        assert not _exit_env(taint, cfg).get("rng")
-
-    def test_block_envs_replays_per_statement(self):
-        cfg = _cfg('''\
-            def f():
-                a = default_rng()
-                b = 1
-                return a
-        ''')
-        taint = TaintAnalysis(cfg, self._is_rng)
-        seen = []
-        for block in cfg.blocks:
-            for stmt, env in block_envs(taint.states, block, taint._transfer):
-                seen.append((type(stmt).__name__, bool(env.get("a"))))
-        # `a` is untainted before its own assignment, tainted afterwards.
-        assert ("Assign", False) in seen
-        assert ("Return", True) in seen

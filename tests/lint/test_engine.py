@@ -83,12 +83,12 @@ class TestSuppression:
 
     def test_decorator_comment_covers_the_decorated_def(self):
         source = (
-            "@app.route('/x')  # repro-lint: disable=FLOW001\n"
+            "@app.route('/x')  # repro-lint: disable=FLOW003\n"
             "def handler():\n"
             "    pass\n")
         lines = suppressed_lines(source)
-        assert lines[1] == {"FLOW001"}
-        assert lines[2] == {"FLOW001"}  # the def header it decorates
+        assert lines[1] == {"FLOW003"}
+        assert lines[2] == {"FLOW003"}  # the def header it decorates
         assert 3 not in lines           # the body is NOT blanketed
 
     def test_standalone_comment_still_covers_only_its_own_line(self):

@@ -5,113 +5,6 @@ def _rules(findings):
     return sorted(f.rule for f in findings)
 
 
-PKG_INIT = "from .tasks import label_net\n"
-
-TASKS = '''\
-    from .helpers import noisy
-
-
-    def label_net(item):
-        return noisy(item)
-'''
-
-NOISY_HELPERS = '''\
-    import numpy as np
-
-
-    def noisy(item):
-        rng = np.random.default_rng()
-        return rng.normal() + item
-'''
-
-SEEDED_HELPERS = '''\
-    import numpy as np
-
-
-    def noisy(item):
-        seed, value = item
-        rng = np.random.default_rng(seed)
-        return rng.normal() + value
-'''
-
-
-class TestFlow001Interprocedural:
-    def test_unseeded_rng_across_modules(self, deep_lint):
-        findings, _ = deep_lint({
-            "pkg/__init__.py": PKG_INIT,
-            "pkg/tasks.py": TASKS,
-            "pkg/helpers.py": NOISY_HELPERS,
-            "pkg/driver.py": '''\
-                from repro.parallel import parallel_map
-
-                from . import label_net
-
-
-                def run(items):
-                    return parallel_map(label_net, items)
-            ''',
-        })
-        flow = [f for f in findings if f.rule == "FLOW001"]
-        assert len(flow) == 1
-        assert "pkg/driver.py" in flow[0].path
-        # The chain through the aliased re-export is spelled out.
-        assert "label_net" in flow[0].message
-        assert "noisy" in flow[0].message
-
-    def test_seeded_per_item_rng_is_clean(self, deep_lint):
-        findings, _ = deep_lint({
-            "pkg/__init__.py": PKG_INIT,
-            "pkg/tasks.py": TASKS,
-            "pkg/helpers.py": SEEDED_HELPERS,
-            "pkg/driver.py": '''\
-                from repro.parallel import parallel_map
-
-                from . import label_net
-
-
-                def run(items):
-                    return parallel_map(label_net, items)
-            ''',
-        })
-        assert _rules(findings) == []
-
-
-class TestFlow001LocalTaint:
-    def test_shared_generator_flows_into_call(self, deep_lint):
-        findings, _ = deep_lint({
-            "pkg/__init__.py": "",
-            "pkg/driver.py": '''\
-                import numpy as np
-
-                from repro.parallel import parallel_map
-
-
-                def shared(items, task):
-                    rng = np.random.default_rng(7)
-                    return parallel_map(task, [(i, rng) for i in items])
-            ''',
-        })
-        flow = [f for f in findings if f.rule == "FLOW001"]
-        assert len(flow) == 1
-        assert "SeedSequence.spawn" in flow[0].message
-
-    def test_spawned_seed_material_is_clean(self, deep_lint):
-        findings, _ = deep_lint({
-            "pkg/__init__.py": "",
-            "pkg/driver.py": '''\
-                import numpy as np
-
-                from repro.parallel import parallel_map
-
-
-                def spawned(items, task):
-                    seeds = np.random.SeedSequence(7).spawn(len(items))
-                    return parallel_map(task, list(zip(items, seeds)))
-            ''',
-        })
-        assert _rules(findings) == []
-
-
 class TestFlow002:
     def test_close_skipping_path_flags(self, deep_lint):
         findings, _ = deep_lint({

@@ -22,18 +22,16 @@ LAYERS = {
     "baselines": {"core", "design", "features", "nn", "rcnet", "robustness"},
     "bench": {"baselines", "core", "data", "nn"},
     "cli": {"core"},
-    "core": {"design", "features", "nn", "obs", "parallel", "rcnet",
+    "core": {"design", "features", "nn", "obs", "rcnet", "robustness"},
+    "data": {"analysis", "design", "features", "liberty", "obs",
              "robustness"},
-    "data": {"analysis", "design", "features", "liberty", "obs", "parallel",
-             "robustness"},
-    "design": {"analysis", "features", "liberty", "obs", "parallel", "rcnet",
+    "design": {"analysis", "features", "liberty", "obs", "rcnet",
                "robustness"},
     "features": {"analysis", "liberty", "obs", "rcnet", "robustness"},
     "liberty": {"analysis", "rcnet", "robustness"},
     "lint": set(),
     "nn": {"obs", "robustness"},
     "obs": set(),
-    "parallel": {"obs", "robustness"},
     "rcnet": {"robustness"},
     "robustness": {"design", "features", "obs", "rcnet"},
     "serve": {"design", "features", "obs", "rcnet", "robustness"},

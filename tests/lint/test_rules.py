@@ -248,108 +248,3 @@ class TestERR002BroadExceptContract:
                     pass
         """, select=["ERR002"])
         assert rule_names(result) == ["ERR002"]
-
-
-class TestPAR001ParallelCallable:
-    def test_lambda_task_fires(self, lint_snippet):
-        result = lint_snippet("""
-            from repro.parallel import parallel_map
-
-            def run(items):
-                return parallel_map(lambda x: x * x, items, jobs=2)
-        """, select=["PAR001"])
-        assert rule_names(result) == ["PAR001"]
-
-    def test_nested_function_task_fires(self, lint_snippet):
-        result = lint_snippet("""
-            from repro.parallel import parallel_map
-
-            def run(items):
-                def task(x):
-                    return x * x
-                return parallel_map(task, items, jobs=2)
-        """, select=["PAR001"])
-        assert rule_names(result) == ["PAR001"]
-
-    def test_lambda_initializer_fires(self, lint_snippet):
-        result = lint_snippet("""
-            from repro.parallel import parallel_map
-
-            def run(task, items):
-                return parallel_map(task, items, jobs=2,
-                                    initializer=lambda: None)
-        """, select=["PAR001"])
-        assert rule_names(result) == ["PAR001"]
-
-    def test_module_level_task_is_clean(self, lint_snippet):
-        result = lint_snippet("""
-            from repro.parallel import parallel_map
-
-            def _task(x):
-                return x * x
-
-            def run(items):
-                return parallel_map(_task, items, jobs=2)
-        """, select=["PAR001"])
-        assert result.findings == []
-
-
-class TestPAR002ParallelMutableGlobal:
-    def test_task_reading_mutable_global_fires(self, lint_snippet):
-        result = lint_snippet("""
-            from repro.parallel import parallel_map
-
-            _MEMO = {}
-
-            def _task(x):
-                return _MEMO.get(x, x)
-
-            def run(items):
-                return parallel_map(_task, items, jobs=2)
-        """, select=["PAR002"])
-        assert rule_names(result) == ["PAR002"]
-
-    def test_task_reading_module_rng_fires(self, lint_snippet):
-        result = lint_snippet("""
-            import numpy as np
-            from repro.parallel import parallel_map
-
-            _RNG = np.random.default_rng(0)
-
-            def _task(x):
-                return x + _RNG.random()
-
-            def run(items):
-                return parallel_map(_task, items, jobs=2)
-        """, select=["PAR002"])
-        assert rule_names(result) == ["PAR002"]
-
-    def test_worker_initializer_pattern_is_clean(self, lint_snippet):
-        # The sanctioned pattern: a None global the pool initializer fills
-        # in per worker, plus state travelling inside the task items.
-        result = lint_snippet("""
-            from repro.parallel import parallel_map
-
-            _WORKER_STATE = None
-
-            def _init(state):
-                global _WORKER_STATE
-                _WORKER_STATE = state
-
-            def _task(x):
-                return _WORKER_STATE.lookup(x)
-
-            def run(items, state):
-                return parallel_map(_task, items, jobs=2,
-                                    initializer=_init, initargs=(state,))
-        """, select=["PAR002"])
-        assert result.findings == []
-
-    def test_non_task_function_may_use_globals(self, lint_snippet):
-        result = lint_snippet("""
-            _CACHE = {}
-
-            def lookup(x):
-                return _CACHE.get(x)
-        """, select=["PAR002"])
-        assert result.findings == []

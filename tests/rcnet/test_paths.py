@@ -92,6 +92,26 @@ class TestDijkstra:
         with pytest.raises(ValueError):
             shortest_path_tree(small_chain, weight="length")
 
+    def test_negative_resistance_raises_typed_error(self):
+        """An undirected negative edge would relax back and forth without
+        end; on a 2-node net a regression spins in constant memory."""
+        from repro.robustness import FaultInjector, InputError
+
+        net = FaultInjector(seed=0).corrupt_rc_values(
+            chain_net(2, name="neg"), mode="negative_resistance")
+        with pytest.raises(InputError) as excinfo:
+            shortest_path_tree(net)
+        assert (excinfo.value.net, excinfo.value.stage) == ("neg", "paths")
+
+    @pytest.mark.parametrize("mode, far", [("zero_resistance", 0.0),
+                                           ("nan_resistance", np.inf)])
+    def test_zero_and_nan_resistance_do_not_raise(self, mode, far):
+        from repro.robustness import FaultInjector
+
+        net = FaultInjector(seed=0).corrupt_rc_values(chain_net(2),
+                                                      mode=mode)
+        assert shortest_path_tree(net)[0] == (0.0, far)
+
     @pytest.fixture
     def runs(self, monkeypatch):
         """``(net name, hops)`` of every Dijkstra run during the test."""

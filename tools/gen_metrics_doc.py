@@ -53,7 +53,6 @@ INSTRUMENTED_MODULES = [
     "repro.design.sta",
     "repro.features.pipeline",
     "repro.nn.trainer",
-    "repro.parallel.pool",
     "repro.robustness.fallback",
     "repro.serve.admission",
     "repro.serve.batching",
@@ -139,15 +138,6 @@ DESCRIPTIONS: Dict[str, Tuple[str, str]] = {
     "estimator.label_prior_fallbacks": (
         "counter", "Predictions answered by the label-prior fallback "
         "(untrained or deserialized-without-weights estimator)."),
-    # -- parallel ------------------------------------------------------
-    "parallel.tasks": (
-        "counter", "Tasks submitted through `parallel_map`."),
-    "parallel.worker_crashes": (
-        "counter", "Worker-process crashes absorbed by `parallel_map`."),
-    "parallel.serial_retries": (
-        "counter", "Crashed tasks replayed serially in the parent."),
-    "parallel.jobs": (
-        "gauge", "Worker count of the most recent `parallel_map` call."),
     # -- STA / robustness ----------------------------------------------
     "sta.stages_timed": ("counter", "Gate stages timed during STA."),
     "sta.paths_timed": ("counter", "Timing paths analyzed during STA."),
