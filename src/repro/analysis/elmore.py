@@ -20,7 +20,7 @@ import numpy as np
 
 from ..rcnet.graph import RCNet
 from ..rcnet.paths import WirePath, shortest_path_tree
-from .mna import ReducedSystem, capacitance_vector, reduce_source
+from .mna import capacitance_vector, reduce_source
 
 __all__ = ["elmore_delays", "elmore_delay_to_sink", "downstream_caps",
            "stage_delays", "path_elmore_delay"]

@@ -13,7 +13,7 @@ transient simulator — consumes the matrices built here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import math
 

@@ -8,7 +8,7 @@
   gradient-boosted trees.
 """
 
-from typing import Callable, Dict
+from typing import Callable
 
 import numpy as np
 

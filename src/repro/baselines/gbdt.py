@@ -8,7 +8,7 @@ gradient boosting) is supported for regularization.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 

@@ -192,8 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "the feature scaler)")
     p.add_argument("--plan", choices=sorted(PLANS), default="PlanB",
                    help="plan the model was trained with")
-    p.add_argument("--net-timeout", type=float, default=0.25,
-                   help="per-net tier timeout in seconds")
     p.add_argument("--max-queue", type=int, default=256,
                    help="admission queue bound (backpressure beyond it)")
     p.add_argument("--default-deadline", type=float, default=2.0,
@@ -264,7 +262,7 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
     if dataset.skipped:
         print(f"skipped {len(dataset.skipped)} pathological net(s):")
         for record in dataset.skipped:
-            print(f"  {record.design}/{record.net}: {record.reason}")
+            print(f"  {record.net}: {record.reason}")
     return 0
 
 
@@ -588,7 +586,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                 default_deadline_s=args.default_deadline)
     config = ServeConfig(host=args.host, port=args.port,
                          workers=args.workers,
-                         net_timeout_s=args.net_timeout,
                          persist_cache_dir=args.persist_cache,
                          admission=admission)
     return run_server(config, learned=learned)

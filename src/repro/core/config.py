@@ -12,7 +12,7 @@ full-depth configurations for users with the budget to train them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,10 @@ _MAX_PROVENANCE_RECORDS = 4096
 ModelFactory = Callable[[int, int, GNNTransConfig, np.random.Generator], Module]
 #: A model's ``bind_many``: each net's per-call half, a :data:`PathForward`.
 BindMany = Callable[[Sequence[NetSample]], List[PathForward]]
-#: Per-path ``(slew_ps, delay_ps)`` of one net from its path records, from
-#: :meth:`WireTimingEstimator.bind_sample`.
-PathPredictor = Callable[[Sequence[PathRecord]], Tuple[np.ndarray, np.ndarray]]
+#: Per-path ``(slew_ps, delay_ps)`` of one net from its path records, with
+#: the tier that produced them, from :meth:`WireTimingEstimator.bind_sample`.
+PathPredictor = Callable[[Sequence[PathRecord]],
+                         Tuple[np.ndarray, np.ndarray, str]]
 #: One net's ``(slew_ps, delay_ps, tier, reason)`` from a pack.
 _NetPrediction = Tuple[np.ndarray, np.ndarray, str, Optional[str]]
 
@@ -215,12 +216,6 @@ class WireTimingEstimator:
         self.degradation_counts: Dict[str, int] = {"model": 0,
                                                    "label-prior": 0}
         self.provenance_log: List[PredictionRecord] = []
-        self.last_record: Optional[PredictionRecord] = None
-
-    @property
-    def last_tier(self) -> Optional[str]:
-        """Tier that served the most recent :meth:`predict_sample` call."""
-        return self.last_record.tier if self.last_record is not None else None
 
     # ------------------------------------------------------------------
     def fit(self, train_samples: Sequence[NetSample],
@@ -298,15 +293,16 @@ class WireTimingEstimator:
         :attr:`provenance_log` under tier ``"label-prior"`` rather than
         propagated or raised.
         """
-        return self.bind_sample(sample)(sample.paths)
+        return self.bind_sample(sample)(sample.paths)[:2]
 
     def bind_sample(self, sample: NetSample) -> PathPredictor:
         """:meth:`predict_sample` split at the input-slew boundary.
 
         The returned function takes this net's path records at any input
         slew, as a sample built at that slew holds them, and returns what
-        :meth:`predict_sample` would.  The net runs as a pack of one of
-        :meth:`bind_samples`.
+        :meth:`predict_sample` would, with the tier that produced it
+        (``"model"`` or ``"label-prior"``).  The net runs as a pack of one
+        of :meth:`bind_samples`.
         """
         return self.bind_samples([sample])[0]
 
@@ -354,7 +350,7 @@ class WireTimingEstimator:
         net, design = sample.name, sample.design
         if isinstance(forward, str):
             def degraded(paths: Sequence[PathRecord]
-                         ) -> Tuple[np.ndarray, np.ndarray]:
+                         ) -> Tuple[np.ndarray, np.ndarray, str]:
                 _PREDICTIONS.inc()
                 return self._degrade(net, design, paths, forward)
             return degraded
@@ -375,7 +371,7 @@ class WireTimingEstimator:
 
     def _predict_with(self, forward: PathForward, net: str, design: str,
                       paths: Sequence[PathRecord]
-                      ) -> Tuple[np.ndarray, np.ndarray]:
+                      ) -> Tuple[np.ndarray, np.ndarray, str]:
         _PREDICTIONS.inc()
         try:
             with self._eval_mode():
@@ -390,7 +386,7 @@ class WireTimingEstimator:
                 net=net, design=design, stage="predict",
                 tier="label-prior", cause=exc)))
         self._record(net, design, tier, reason)
-        return slew_ps, delay_ps
+        return slew_ps, delay_ps, tier
 
     def _outputs(self, slew: np.ndarray, delay: np.ndarray,
                  paths: Sequence[PathRecord]) -> _NetPrediction:
@@ -408,11 +404,11 @@ class WireTimingEstimator:
                 f"{bad}/{finite.size} paths non-finite")
 
     def _degrade(self, net: str, design: str, paths: Sequence[PathRecord],
-                 reason: str) -> Tuple[np.ndarray, np.ndarray]:
+                 reason: str) -> Tuple[np.ndarray, np.ndarray, str]:
         """Serve ``paths`` from the label prior, recording ``reason``."""
         prior_slew, prior_delay = self._prior_prediction(paths)
         self._record(net, design, "label-prior", reason)
-        return prior_slew, prior_delay
+        return prior_slew, prior_delay, "label-prior"
 
     def _prior_prediction(self, paths: Sequence[PathRecord]
                           ) -> Tuple[np.ndarray, np.ndarray]:
@@ -433,7 +429,6 @@ class WireTimingEstimator:
         self.provenance_log.append(record)
         if len(self.provenance_log) > _MAX_PROVENANCE_RECORDS:
             del self.provenance_log[:-_MAX_PROVENANCE_RECORDS]
-        self.last_record = record
 
     def _predict_pack(self, samples: Sequence[NetSample]
                       ) -> List[_NetPrediction]:
@@ -550,7 +545,7 @@ class WireTimingEstimator:
 
 def _raising(exc: Exception) -> WireBinding:
     """A binding whose every call raises ``exc``."""
-    def timing(input_slew: float) -> Tuple[np.ndarray, np.ndarray]:
+    def timing(input_slew: float) -> Tuple[np.ndarray, np.ndarray, str]:
         raise exc
     return timing
 
@@ -574,7 +569,7 @@ class LearnedWireModel(WireTimingModel):
                     context: Optional[NetContext] = None
                     ) -> Tuple[np.ndarray, np.ndarray]:
         return self.bind(net, sink_loads, drive_resistance,
-                         context)(input_slew)
+                         context)(input_slew)[:2]
 
     def bind(self, net: RCNet, sink_loads: np.ndarray,
              drive_resistance: float,
@@ -598,7 +593,8 @@ class LearnedWireModel(WireTimingModel):
         model's slew-free halves.  Each call writes its input slew into
         the scaled input-slew path feature and each path's
         ``input_slew_ps``, then runs only the per-slew half, so it returns
-        bitwise what a sample built at that slew gives.  A net whose
+        bitwise what a sample built at that slew gives, with the
+        prediction's tier (``"model"`` or ``"label-prior"``).  A net whose
         sample cannot be built gets a binding that raises the build's
         error, so the stage that needs it fails as an eager build would.
         """
@@ -639,7 +635,7 @@ class LearnedWireModel(WireTimingModel):
         mean = self.feature_scaler.path_mean[_SLEW_COLUMN]
         std = self.feature_scaler.path_std[_SLEW_COLUMN]
 
-        def timing(input_slew: float) -> Tuple[np.ndarray, np.ndarray]:
+        def timing(input_slew: float) -> Tuple[np.ndarray, np.ndarray, str]:
             input_slew_ps = input_slew / _PS
             scaled = (input_slew_ps - mean) / std
             at_slew = []
@@ -648,18 +644,13 @@ class LearnedWireModel(WireTimingModel):
                 features[_SLEW_COLUMN] = scaled
                 at_slew.append(replace(path, features=features,
                                        input_slew_ps=input_slew_ps))
-            slew_ps, delay_ps = predict(at_slew)
+            slew_ps, delay_ps, tier = predict(at_slew)
             if not (np.all(np.isfinite(slew_ps))
                     and np.all(np.isfinite(delay_ps))):
                 raise ModelError("learned prediction is non-finite",
                                  net=net, stage="predict", tier=self.name)
-            return delay_ps * _PS, slew_ps * _PS
+            return delay_ps * _PS, slew_ps * _PS, tier
         return timing
-
-    @property
-    def last_tier(self) -> Optional[str]:
-        """Provenance of the wrapped estimator's most recent prediction."""
-        return self.estimator.last_tier
 
     @property
     def name(self) -> str:

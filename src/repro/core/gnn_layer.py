@@ -14,8 +14,6 @@ resistances now aggregate differently.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..nn.layers import Linear, Module

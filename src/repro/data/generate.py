@@ -25,8 +25,9 @@ import numpy as np
 from ..analysis.simulator import GoldenTimer
 from ..obs import get_metrics, get_tracer
 from ..robustness.errors import EstimationError
-from ..design.benchmarks import (DEFAULT_SCALE, TEST_BENCHMARKS,
-                                 TRAIN_BENCHMARKS, generate_benchmark)
+from ..design.benchmarks import (DEFAULT_SCALE, PAPER_BENCHMARKS,
+                                 TEST_BENCHMARKS, TRAIN_BENCHMARKS,
+                                 generate_benchmark)
 from ..design.netlist import Netlist
 from ..features.path_features import NetContext
 from ..features.pipeline import FeatureScaler, NetSample, build_net_sample
@@ -43,7 +44,8 @@ _NETS_SKIPPED = get_metrics().counter("dataset.nets_skipped")
 
 @dataclass(frozen=True)
 class SkippedSample:
-    """One net dropped from a dataset build, with its typed failure reason."""
+    """One net dropped from a dataset build, with its typed failure reason;
+    ``net`` is the RC net's name, as in samples and errors."""
 
     net: str
     design: str
@@ -91,7 +93,6 @@ class NetLabelTask:
     """
 
     design: str
-    net_name: str
     rcnet: object            # RCNet
     drive_cell: object       # liberty Cell
     load_cells: Tuple[object, ...]
@@ -137,7 +138,7 @@ def _label_nets_batched(tasks: Sequence[NetLabelTask]
         except (EstimationError, np.linalg.LinAlgError) as exc:
             if task.on_error == "raise":
                 raise
-            results[index] = (None, SkippedSample(task.net_name,
+            results[index] = (None, SkippedSample(task.rcnet.name,
                                                   task.design, str(exc)))
             continue
         prepared.append((index, task, context, timer, sink_loads,
@@ -166,7 +167,7 @@ def _label_nets_batched(tasks: Sequence[NetLabelTask]
         except (EstimationError, np.linalg.LinAlgError) as exc:
             if task.on_error == "raise":
                 raise
-            results[index] = (None, SkippedSample(task.net_name,
+            results[index] = (None, SkippedSample(task.rcnet.name,
                                                   task.design, str(exc)))
     return results  # type: ignore[return-value]
 
@@ -188,7 +189,6 @@ def _net_tasks(netlist: Netlist, max_nets: Optional[int] = None,
         nets = [nets[int(i)] for i in sorted(picked)]
     return [NetLabelTask(
         design=netlist.name,
-        net_name=net.name,
         rcnet=net.rcnet,
         drive_cell=netlist.gates[net.driver].cell,
         load_cells=tuple(netlist.gates[load.gate].cell
@@ -249,7 +249,9 @@ def generate_dataset(train_names: Sequence[str] = tuple(TRAIN_BENCHMARKS),
     ----------
     train_names, test_names:
         Benchmark names (defaults: the paper's Table II split).  A design
-        named twice, in one list or across both, is a ``ValueError``.
+        named twice, in one list or across both, is a ``ValueError``, and
+        names missing from ``PAPER_BENCHMARKS`` are one ``KeyError``; both
+        are raised before any design is generated.
     scale:
         Design down-scaling factor (see :mod:`repro.design.benchmarks`).
     nets_per_design:
@@ -267,6 +269,10 @@ def generate_dataset(train_names: Sequence[str] = tuple(TRAIN_BENCHMARKS),
     if repeated:
         raise ValueError(f"design(s) named more than once in train/test: "
                          f"{', '.join(repeated)}")
+    unknown = [name for name in names if name not in PAPER_BENCHMARKS]
+    if unknown:
+        raise KeyError(f"unknown benchmark(s) {', '.join(unknown)}; "
+                       f"see PAPER_BENCHMARKS")
     library = library if library is not None else make_default_library()
 
     tracer = get_tracer()

@@ -14,15 +14,14 @@ importer re-associate each RC sink with the cell pin it drives.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..liberty.library import Library
 from ..rcnet.builder import RCNetBuilder
 from ..rcnet.graph import RCNet
-from ..rcnet.spef import SPEFDesign, parse_spef, write_spef
+from ..rcnet.spef import parse_spef, write_spef
 from .netlist import DesignNet, Netlist
-from .verilog import (ParsedModule, VerilogError, connectivity_from_module,
-                      parse_verilog, write_verilog)
+from .verilog import connectivity_from_module, parse_verilog, write_verilog
 
 
 class InterchangeError(ValueError):

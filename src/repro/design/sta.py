@@ -61,8 +61,10 @@ def resolve_arc_pin(cell: Cell, input_pin: str, *, net: Optional[str] = None,
 
 
 #: A wire model bound to one net: input slew (s) -> per-sink
-#: ``(delays, slews)`` (s).
-WireBinding = Callable[[float], Tuple[np.ndarray, np.ndarray]]
+#: ``(delays, slews)`` (s) and the tier that served the call (``None`` for
+#: a model without tiers).
+WireBinding = Callable[[float],
+                       Tuple[np.ndarray, np.ndarray, Optional[str]]]
 
 
 class BindRequest(NamedTuple):
@@ -98,15 +100,18 @@ class WireTimingModel(ABC):
 
         A model overrides this to do its slew-free work once per net; a
         call of the binding must return what :meth:`wire_timing` returns
-        at that slew, bitwise.  ``context.input_slew`` is ignored: each
-        call substitutes its own slew.  This default runs
-        :meth:`wire_timing` on every call.
+        at that slew, bitwise, plus the tier that served the call.
+        ``context.input_slew`` is ignored: each call substitutes its own
+        slew.  This default runs :meth:`wire_timing` on every call and
+        reports tier ``None``.
         """
-        def timing(input_slew: float) -> Tuple[np.ndarray, np.ndarray]:
+        def timing(input_slew: float
+                   ) -> Tuple[np.ndarray, np.ndarray, Optional[str]]:
             at_slew = None if context is None \
                 else replace(context, input_slew=input_slew)
-            return self.wire_timing(net, input_slew, sink_loads,
-                                    drive_resistance, context=at_slew)
+            return (*self.wire_timing(net, input_slew, sink_loads,
+                                      drive_resistance, context=at_slew),
+                    None)
         return timing
 
     def bind_many(self, requests: Sequence[BindRequest]
@@ -241,8 +246,8 @@ class D2MWireModel(WireTimingModel):
 class StageTiming:
     """Timing breakdown of one path stage.
 
-    ``tier`` is the wire-model degradation provenance: which tier of a
-    fallback-capable model served this stage (``None`` for plain models).
+    ``tier`` is the wire-model degradation provenance: the tier the wire
+    model's binding returned for this stage (``None`` for plain models).
     """
 
     gate: str
@@ -340,9 +345,9 @@ class StageTimer:
         self.launch_slew = launch_slew
         self.slew_model = slew_model
         self.lenient_pins = lenient_pins
-        # An incremental memo is shared between a serve batch window and
-        # concurrent edit threads; only the dict/counter operations run
-        # under the lock — stage computation happens outside it.
+        # An incremental memo is shared by concurrent callers of one
+        # IncrementalSTAEngine; only the dict/counter operations run under
+        # the lock — stage computation happens outside it.
         self._lock = named_lock("StageTimer._lock")
         self._cache: Dict[StageKey, StageEntry] = {}  # repro-guarded-by: _lock
         self._nets: Dict[NetKey, NetEntry] = {}  # repro-guarded-by: _lock
@@ -373,7 +378,7 @@ class StageTimer:
         gate_delay, drive_slew = gate.cell.delay_and_slew(slew, bound[0], pin)
         start = time.perf_counter()
         try:
-            delays, slews = bound[1](drive_slew)
+            delays, slews, tier = bound[1](drive_slew)
         except EstimationError:
             raise  # already typed with provenance
         except (KeyboardInterrupt, SystemExit):
@@ -384,9 +389,8 @@ class StageTimer:
                 f"{type(exc).__name__}: {exc}", net=stage.net,
                 design=design, stage="sta", cause=exc) from exc
         wire_seconds = time.perf_counter() - start
-        tier = getattr(self.wire_model, "last_tier", None)
         if bound[2] is not None:
-            _, slews = bound[2](drive_slew)
+            _, slews, _ = bound[2](drive_slew)
         entry = (gate_delay, delays, slews, tier)
         with self._lock:
             self._cache[key] = entry

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..liberty.library import Library
-from .netlist import DesignNet, Gate, LoadPin, Netlist
+from .netlist import Gate, LoadPin, Netlist
 
 
 class VerilogError(ValueError):

@@ -20,7 +20,7 @@ malformed groups raise :class:`LibertyError`.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 

@@ -11,8 +11,7 @@ identical to sign-off gate timing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 

@@ -50,7 +50,7 @@ from .config import LintConfig, default_config
 from .engine import (Finding, display_path, module_name, suppressed_lines)
 from .flowrules import (check_anonymous_raises, check_raise_provenance,
                         check_resource_paths)
-from .shapes import ShapeContract, check_call_edges
+from .shapes import check_call_edges
 from .symbols import ModuleSummary, SymbolTable, summarize_module
 from .units import UnitDeclarations, check_units, load_declarations
 

@@ -9,7 +9,7 @@ need on CPU.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 import numpy as np
 

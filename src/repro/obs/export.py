@@ -13,7 +13,7 @@ Two interchange formats:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional
 
 from .metrics import MetricRegistry, get_metrics
 from .profile import aggregate_spans

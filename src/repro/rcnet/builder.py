@@ -8,7 +8,7 @@ file, and the SPEF parser is implemented on top of it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from .graph import CouplingCap, RCEdge, RCNet, RCNetError, RCNode
 

@@ -14,8 +14,8 @@ constants :data:`OHM`, :data:`KOHM`, :data:`FF`, :data:`PF`, :data:`PS` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -24,8 +24,6 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 from .builder import RCNetBuilder
 from .graph import RCNet
 

@@ -18,7 +18,7 @@ delays land in the picosecond range the paper reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 

@@ -190,8 +190,7 @@ class SlowTierModel:
     in ``[0, jitter_s)`` before delegating to the wrapped model; the answer
     itself is untouched.  This is the deterministic stand-in for a tier
     that has gone slow (cold cache, swapping, contended accelerator), used
-    to drive :class:`~repro.robustness.fallback.FallbackChain` budgets and
-    the serve layer's deadline/hedging paths.
+    to drive the serve layer's deadline and hedging paths.
     """
 
     def __init__(self, model, delay_s: float, jitter_s: float = 0.0,

@@ -13,9 +13,9 @@ Three robustness mechanisms live here, all explicit rather than emergent:
   request still *terminates*, it never silently disappears.
 * **Load shedding** — queue depth maps to a shed level that routes work
   to cheaper :class:`~repro.robustness.fallback.FallbackChain` tiers
-  (full ladder -> analytic-only -> last-resort), and the existing
-  :class:`~repro.robustness.fallback._CircuitBreaker` forces shedding
-  after consecutive full-ladder failures independent of queue depth.
+  (full ladder -> analytic-only -> last-resort), and a circuit breaker
+  (:class:`_CircuitBreaker`) forces shedding after consecutive
+  full-ladder failures independent of queue depth.
 
 The clock is injectable so deadline and shedding behavior is testable
 without real waiting.
@@ -31,7 +31,6 @@ from typing import Callable, Deque, Dict, List, Optional
 
 from ..obs import get_metrics, named_lock
 from ..robustness.errors import DeadlineError, OverloadError
-from ..robustness.fallback import _CircuitBreaker
 from .protocol import (QueryResult, ServeRequest, ServeResponse,
                        error_document, error_response)
 
@@ -47,6 +46,47 @@ _QUEUE_WAIT = get_metrics().histogram("serve.queue_wait_s")
 SHED_FULL = 0        # full ladder (learned/AWE first)
 SHED_ANALYTIC = 1    # cheap analytic tiers only (Elmore -> lumped-RC)
 SHED_LAST_RESORT = 2  # lumped-RC only: bounded answer at any load
+
+
+class _CircuitBreaker:
+    """Consecutive-failure breaker with a cooldown measured in dequeues.
+
+    ``threshold`` consecutive failures open the breaker; :meth:`allow`
+    then refuses ``cooldown - 1`` calls and allows the next as a
+    half-open trial.  Opening keeps the failure streak, so a failed trial
+    re-opens the breaker at once; a success closes it.
+    """
+
+    def __init__(self, threshold: int, cooldown: int) -> None:
+        self.threshold = threshold
+        self.cooldown = cooldown
+        # Mutated by allow()/record_*; the breaker has no lock of its own —
+        # the owning controller serializes every call (external guard, see
+        # the dotted repro-guarded-by form in docs/LINTING.md).
+        self.consecutive_failures = 0  # repro-guarded-by: AdmissionController._lock
+        self.remaining_cooldown = 0    # repro-guarded-by: AdmissionController._lock
+
+    @property
+    def open(self) -> bool:
+        return self.remaining_cooldown > 0
+
+    def allow(self) -> bool:
+        """Whether the current dequeue may use the full ladder."""
+        if self.remaining_cooldown > 0:
+            self.remaining_cooldown -= 1
+            return self.remaining_cooldown == 0  # half-open trial on expiry
+        return True
+
+    def record_success(self) -> None:
+        self.consecutive_failures = 0
+
+    def record_failure(self) -> bool:
+        """Count a failure; True when this one opens the breaker."""
+        self.consecutive_failures += 1
+        if self.threshold > 0 and self.consecutive_failures >= self.threshold:
+            self.remaining_cooldown = self.cooldown
+            return True
+        return False
 
 
 @dataclass

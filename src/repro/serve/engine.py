@@ -145,7 +145,6 @@ class EstimationEngine:
     """Shed-aware wire-timing ladders behind the batching layer."""
 
     def __init__(self, learned: Optional[WireTimingModel] = None,
-                 net_timeout: Optional[float] = 0.25,
                  clock: Callable[[], float] = time.monotonic,
                  extra_tiers: Optional[List[WireTimingModel]] = None,
                  cache_size: int = 4096) -> None:
@@ -162,9 +161,8 @@ class EstimationEngine:
             full.extend(extra_tiers)
         full.extend([AWEWireModel(), D2MWireModel(), ElmoreWireModel()])
         self._chains: Dict[int, FallbackChain] = {
-            SHED_FULL: FallbackChain(full, net_timeout=net_timeout),
-            SHED_ANALYTIC: FallbackChain([ElmoreWireModel()],
-                                         net_timeout=net_timeout),
+            SHED_FULL: FallbackChain(full),
+            SHED_ANALYTIC: FallbackChain([ElmoreWireModel()]),
             SHED_LAST_RESORT: FallbackChain([], last_resort=True),
         }
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from ..rcnet.graph import CouplingCap, RCEdge, RCNet, RCNetError, RCNode
 from ..robustness.errors import (DeadlineError, EstimationError, InputError,

@@ -57,7 +57,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8731
     workers: int = 2
-    net_timeout_s: Optional[float] = 0.25
     max_restarts: int = 8
     persist_cache_dir: Optional[str] = None
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
@@ -80,7 +79,7 @@ class TimingService:
             configure_solve_cache(512, persist_dir=config.persist_cache_dir)
         self.admission = AdmissionController(config.admission, clock=clock)
         self.engine = engine if engine is not None else EstimationEngine(
-            learned, net_timeout=config.net_timeout_s, clock=clock)
+            learned, clock=clock)
         self.collector = BatchCollector(self.admission, config.batching,
                                         clock=clock)
         self.lifecycle = Lifecycle()

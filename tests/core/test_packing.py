@@ -288,12 +288,14 @@ class TestPackInvariantBinding:
             [nets[bad].node_features] * 2))
         predictors = estimator.bind_samples(nets)
         for i, (net, predict) in enumerate(zip(nets, predictors)):
-            slew, delay = predict(net.paths)
+            slew, delay, tier = predict(net.paths)
             if i == bad:
-                assert estimator.last_record.tier == "label-prior"
-                assert f"net='{net.name}'" in estimator.last_record.reason
+                assert tier == "label-prior"
+                assert estimator.provenance_log[-1].tier == "label-prior"
+                assert f"net='{net.name}'" in \
+                    estimator.provenance_log[-1].reason
                 continue
-            assert estimator.last_tier == "model"
+            assert tier == "model"
             alone_slew, alone_delay = estimator.predict_sample(net)
             np.testing.assert_array_equal(slew, alone_slew)
             np.testing.assert_array_equal(delay, alone_delay)

@@ -194,23 +194,23 @@ class TestBadNet:
         name = sorted(bad.nets)[3]
         bad.nets[name].rcnet = FaultInjector(seed=1).corrupt_rc_values(
             bad.nets[name].rcnet, mode="negative_resistance")
-        return bad, name, bad.nets[name].rcnet.name
+        return bad, bad.nets[name].rcnet.name
 
     def test_skip_mode_names_net_and_keeps_design_mates(self, mixed_design,
                                                         corrupted):
-        bad, name, rc_name = corrupted
+        bad, rc_name = corrupted
         get_solve_cache().clear()
         clean = design_net_samples(mixed_design)
         get_solve_cache().clear()
         skipped = []
         samples = design_net_samples(bad, skipped=skipped)
-        assert [(s.net, s.design) for s in skipped] == [(name, "mixed")]
+        assert [(s.net, s.design) for s in skipped] == [(rc_name, "mixed")]
         assert "negative resistance" in skipped[0].reason
         _assert_samples_equal(samples,
                               [s for s in clean if s.name != rc_name])
 
     def test_raise_mode_carries_the_net(self, corrupted):
-        bad, _, rc_name = corrupted
+        bad, rc_name = corrupted
         with pytest.raises(InputError) as excinfo:
             design_net_samples(bad, on_error="raise")
         assert (excinfo.value.net, excinfo.value.stage) == (rc_name, "paths")
@@ -229,3 +229,16 @@ class TestRepeatedDesign:
                              test_names=["DMA", "B19"])
         with pytest.raises(ValueError, match="DMA"):
             generate_dataset(train_names=["DMA", "DMA"], test_names=[])
+
+
+class TestUnknownDesign:
+    def test_unknown_names_raise_before_generating(self, monkeypatch):
+        import repro.data.generate as generate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a design was generated")
+
+        monkeypatch.setattr(generate, "generate_benchmark", refuse)
+        with pytest.raises(KeyError, match="NOPE, ZILCH"):
+            generate_dataset(train_names=["PCI_BRIDGE", "NOPE"],
+                             test_names=["ZILCH"])

@@ -1,6 +1,27 @@
 """Fixtures shared by the STA and ECO tests."""
 
+import zlib
+
 import pytest
+
+from repro.design.sta import AWEWireModel, ElmoreWireModel
+from repro.robustness import FallbackChain
+
+
+class HalfFlakyTier(ElmoreWireModel):
+    """Elmore x 1.01 on the nets whose name hashes even; raises on the rest."""
+
+    def wire_timing(self, net, *args, **kwargs):
+        if zlib.crc32(net.name.encode()) % 2:
+            raise RuntimeError(f"flaky tier refuses {net.name}")
+        delays, slews = super().wire_timing(net, *args, **kwargs)
+        return delays * 1.01, slews * 1.01
+
+
+@pytest.fixture
+def flaky_chain():
+    """A ladder whose first tier fails on a fixed half of the nets."""
+    return FallbackChain([HalfFlakyTier(), AWEWireModel()])
 
 
 @pytest.fixture(scope="module")

@@ -13,11 +13,12 @@ from repro.design import (DesignSpec, ECOTimingEngine, EditCommand,
                           ElmoreWireModel, Gate, GoldenWireModel,
                           IncrementalSTAEngine, LoadPin, Netlist, PathStage,
                           STAEngine, TimingPath, apply_edit_command,
-                          compare_timing, generate_design, load_edit_script)
+                          compare_timing, generate_benchmark,
+                          generate_design, load_edit_script)
 from repro.design.netlist import DesignNet
 from repro.liberty import Cell, TimingArc, make_default_library
 from repro.rcnet import RCNetBuilder
-from repro.robustness import FallbackChain
+from repro.robustness import FallbackChain, default_fallback_chain
 from repro.robustness.errors import (InputError, ModelError,
                                      NumericalError)
 
@@ -447,8 +448,13 @@ class TestParityContract:
     full pass — arrivals, totals, and per-stage breakdowns."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_edit_script_is_bitwise_identical(self, library, seed):
-        assert _random_script_parity(library, seed, ElmoreWireModel()) == []
+    def test_random_edit_script_is_bitwise_identical(self, library,
+                                                     flaky_chain, seed):
+        """Also through a ladder whose first tier fails on some nets: each
+        stage's tier is a function of that stage, so replay through the
+        chain equals a cold pass too."""
+        for wire_model in (ElmoreWireModel(), flaky_chain):
+            assert _random_script_parity(library, seed, wire_model) == []
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_learned_random_edit_script_is_bitwise_identical(
@@ -458,6 +464,22 @@ class TestParityContract:
         equals a cold pass, which binds nets in packs, bitwise."""
         assert _random_script_parity(library, seed, learned,
                                      encoder_packs) == []
+
+    def test_learned_fallback_chain_edits_are_bitwise_identical(
+            self, library, learned):
+        """The default ladder over an under-trained model serves some
+        stages from the learned tier and the rest from AWE."""
+        netlist = generate_benchmark("WB_DMA", library, scale=2000)
+        engine = ECOTimingEngine(netlist, default_fallback_chain(learned))
+        engine.full_pass()
+        nets = sorted({s.net for p in netlist.paths for s in p.stages})
+        rng = np.random.default_rng(3)
+        for name in rng.choice(nets, size=10, replace=False):
+            engine.apply(netlist.scale_net_rc(str(name),
+                                              *rng.uniform(0.8, 1.25, 2)))
+        tiers = {s.tier for p in engine.results for s in p.stages}
+        assert {"LearnedWireModel", "AWEWireModel"} <= tiers
+        assert engine.verify_parity() == []
 
     def test_parity_holds_after_every_single_edit(self, library):
         netlist = _two_arc_netlist(library)

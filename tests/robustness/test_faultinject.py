@@ -69,7 +69,6 @@ class TestNaNWeights:
             assert np.all(np.isfinite(slews))
             assert np.all(np.isfinite(delays))
         assert poisoned.degradation_counts["label-prior"] > before
-        assert poisoned.last_tier == "label-prior"
         record = poisoned.provenance_log[-1]
         assert record.tier == "label-prior"
         assert record.reason  # explains why the prior was substituted
@@ -86,7 +85,7 @@ class TestNaNWeights:
 
     def test_healthy_estimator_reports_model_tier(self, fitted, dataset):
         fitted.predict_sample(dataset.test[0])
-        assert fitted.last_tier == "model"
+        assert fitted.provenance_log[-1].tier == "model"
 
 
 class TestRaisingEncoder:

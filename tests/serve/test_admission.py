@@ -7,7 +7,8 @@ import pytest
 from repro.robustness.errors import DeadlineError, OverloadError
 from repro.serve.admission import (SHED_ANALYTIC, SHED_FULL,
                                    SHED_LAST_RESORT, AdmissionConfig,
-                                   AdmissionController, Ticket)
+                                   AdmissionController, Ticket,
+                                   _CircuitBreaker)
 from repro.serve.protocol import ServeResponse
 
 from .conftest import make_request
@@ -157,6 +158,40 @@ class TestShedding:
         with pytest.raises(OverloadError) as excinfo:
             admission.submit(make_request(1))
         assert excinfo.value.retry_after_s > 0.1
+
+
+class TestBreakerCooldownSemantics:
+    """Unit coverage of the breaker arithmetic that shedding leans on."""
+
+    def test_opens_after_threshold_consecutive_failures(self):
+        breaker = _CircuitBreaker(threshold=3, cooldown=2)
+        assert breaker.record_failure() is False
+        assert breaker.record_failure() is False
+        assert breaker.record_failure() is True     # this one trips it
+        assert breaker.open
+
+    def test_cooldown_counts_down_to_a_half_open_trial(self):
+        breaker = _CircuitBreaker(threshold=1, cooldown=3)
+        breaker.record_failure()
+        assert [breaker.allow() for _ in range(3)] == [False, False, True]
+        breaker.record_success()                    # trial succeeded
+        assert not breaker.open
+        assert breaker.allow()
+
+    def test_failed_half_open_trial_reopens(self):
+        breaker = _CircuitBreaker(threshold=3, cooldown=2)
+        for _ in range(3):
+            breaker.record_failure()
+        assert [breaker.allow() for _ in range(2)] == [False, True]
+        assert breaker.record_failure() is True     # the trial failed
+        assert breaker.open and not breaker.allow()
+
+    def test_interleaved_success_resets_the_streak(self):
+        breaker = _CircuitBreaker(threshold=2, cooldown=5)
+        for _ in range(10):
+            breaker.record_failure()
+            breaker.record_success()
+        assert not breaker.open and breaker.allow()
 
 
 class TestSnapshotAndConfig:

@@ -110,10 +110,11 @@ def assert_total_termination(responses):
 class TestSlowTierChaos:
     def test_stalling_tier_degrades_but_never_loses(self):
         injector = FaultInjector(seed=5)
-        # Every third call through the slow tier stalls well past the
-        # per-net budget; the chain must time it out and degrade.
+        # Every third call through the slow tier stalls for 0.25 s.  A tier
+        # call cannot be preempted, so the stall is bounded by the request
+        # deadline, which is checked between nets: every request still
+        # ends in an answer or a typed DeadlineError.
         engine = EstimationEngine(
-            net_timeout=0.05,
             extra_tiers=[injector.slow_tier(AWEWireModel(), delay_s=0.25,
                                             every=3)])
         handle = start_server(ServeConfig(port=0, workers=2), engine=engine)
@@ -271,7 +272,7 @@ class TestOverloadChaos:
                 return np.full(n, 2e-12), np.full(n, 3e-12)
 
         engine = EstimationEngine(extra_tiers=[_GlacialTier()],
-                                  net_timeout=None, cache_size=0)
+                                  cache_size=0)
         config = ServeConfig(
             port=0, workers=1,
             admission=AdmissionConfig(max_queue=2, shed_depth=1,

@@ -5,6 +5,8 @@ import threading
 import numpy as np
 import pytest
 
+from repro.analysis.awe import get_awe_cache
+from repro.obs import get_metrics
 from repro.robustness.fallback import LAST_RESORT_TIER
 from repro.serve.admission import (SHED_ANALYTIC, SHED_FULL,
                                    SHED_LAST_RESORT, Ticket)
@@ -208,3 +210,30 @@ class TestCrashRecovery:
         batch = Batch(tickets, formed_at=fake_clock.now)
         assert engine.serve_batch(batch, SHED_FULL) == 3
         assert all(t.done.is_set() for t in tickets)
+
+
+class TestBatchPriming:
+    def test_batch_window_primes_the_lead_tier_without_changing_answers(
+            self, fake_clock):
+        """With no learned tier AWE leads the full ladder: a batch window
+        primes each query's step response, each query hits it, and every
+        answer equals the query served alone from a cold cache, bitwise."""
+        requests = [make_request(2, seed=60 + i) for i in range(3)]
+        primed = get_metrics().counter("batch.awe_primed")
+        hits = get_metrics().counter("awe.cache_hits")
+        get_awe_cache().clear()
+        before = primed.value, hits.value
+        batch = Batch([ticket_for(r, fake_clock) for r in requests])
+        assert EstimationEngine(clock=fake_clock).serve_batch(
+            batch, SHED_FULL) == 3
+        assert primed.value - before[0] == 6
+        assert hits.value - before[1] >= 6
+        for ticket in batch.tickets:
+            for query, result in zip(ticket.request.queries,
+                                     ticket.response.results):
+                get_awe_cache().clear()
+                alone = EstimationEngine(clock=fake_clock).serve_query(
+                    query, ticket, SHED_FULL)
+                assert result.tier == alone.tier == "AWEWireModel"
+                assert (result.delays_s, result.slews_s) == \
+                    (alone.delays_s, alone.slews_s)
