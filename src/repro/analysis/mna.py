@@ -77,13 +77,16 @@ def capacitance_vector(net: RCNet, miller_factor: Optional[float] = None,
     sink_loads:
         Optional extra load capacitance per sink (e.g. receiver pin caps),
         aligned with ``net.sinks``.
+
+    The quiet vector (``miller_factor=None``, no sink loads) is built once
+    per net and memoized on it; each call adds its sink loads to a copy.
     """
     # repro-shape: sink_loads=(s,):f64 -> (n,):f64
-    caps = net.cap_vector()
-    for coupling in net.couplings:
-        if miller_factor is None:
-            caps[coupling.victim] += coupling.cap
-        else:
+    if miller_factor is None:
+        caps = _quiet_caps(net).copy()
+    else:
+        caps = net.cap_vector()
+        for coupling in net.couplings:
             caps[coupling.victim] += coupling.cap * (
                 1.0 + miller_factor * coupling.activity)
     if sink_loads is not None:
@@ -99,6 +102,19 @@ def capacitance_vector(net: RCNet, miller_factor: Optional[float] = None,
         raise InputError("net has non-finite capacitance", net=net.name,
                          stage="mna-assembly")
     return caps
+
+
+def _quiet_caps(net: RCNet) -> np.ndarray:
+    """Grounded plus quietly grounded coupling capacitance per node,
+    memoized read-only on ``net``: a net never changes, and
+    :meth:`RCNet.scaled` and the ECO edits build new ones."""
+    if net._quiet_caps is None:
+        caps = net.cap_vector()
+        for coupling in net.couplings:
+            caps[coupling.victim] += coupling.cap
+        caps.flags.writeable = False
+        net._quiet_caps = caps
+    return net._quiet_caps
 
 
 @dataclass

@@ -18,7 +18,8 @@ from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
 
 import numpy as np
 
-from ..design.sta import BindRequest, WireBinding, WireTimingModel
+from ..design.sta import (BindRequest, WireBinding, WireCall, WireResult,
+                          WireTiming, WireTimingModel)
 from ..obs import get_metrics, get_tracer
 from ..robustness.errors import InputError, ModelError
 from ..features.path_features import PATH_FEATURE_NAMES, NetContext
@@ -31,7 +32,7 @@ from ..nn.tensor import Tensor
 from ..nn.trainer import Trainer, TrainingHistory
 from ..rcnet.graph import RCNet
 from .config import DEFAULT_CONFIG, GNNTransConfig
-from .gnntrans import GNNTrans, PathForward
+from .gnntrans import GNNTrans, PathForward, PooledPaths
 
 _PS = 1e-12
 # Bound on the in-memory prediction provenance log (old entries are dropped
@@ -41,10 +42,9 @@ _MAX_PROVENANCE_RECORDS = 4096
 ModelFactory = Callable[[int, int, GNNTransConfig, np.random.Generator], Module]
 #: A model's ``bind_many``: each net's per-call half, a :data:`PathForward`.
 BindMany = Callable[[Sequence[NetSample]], List[PathForward]]
-#: Per-path ``(slew_ps, delay_ps)`` of one net from its path records, with
-#: the tier that produced them, from :meth:`WireTimingEstimator.bind_sample`.
-PathPredictor = Callable[[Sequence[PathRecord]],
-                         Tuple[np.ndarray, np.ndarray, str]]
+#: Per-path ``(slew_ps, delay_ps)`` of one net, with the tier that
+#: produced them.
+Prediction = Tuple[np.ndarray, np.ndarray, str]
 #: One net's ``(slew_ps, delay_ps, tier, reason)`` from a pack.
 _NetPrediction = Tuple[np.ndarray, np.ndarray, str, Optional[str]]
 
@@ -189,6 +189,29 @@ def _forward_per_call(model: Module) -> BindMany:
     return lambda samples: [bind(sample) for sample in samples]
 
 
+class NetPredictor:
+    """One net bound by :meth:`WireTimingEstimator.bind_samples`.
+
+    ``forward`` is the net's slew-free half, a :data:`PathForward`, or
+    the reason its slew-free half failed.  Called with the net's path
+    records at any input slew, the predictor returns that net's
+    :data:`Prediction`, as a :meth:`WireTimingEstimator.predict_many`
+    call of one.
+    """
+
+    __slots__ = ("estimator", "net", "design", "forward")
+
+    def __init__(self, estimator: "WireTimingEstimator", net: str,
+                 design: str, forward: Union[PathForward, str]) -> None:
+        self.estimator = estimator
+        self.net = net
+        self.design = design
+        self.forward = forward
+
+    def __call__(self, paths: Sequence[PathRecord]) -> Prediction:
+        return self.estimator.predict_many([(self, paths)])[0]
+
+
 class WireTimingEstimator:
     """Trainable wire slew/delay estimator with a scikit-style API.
 
@@ -295,10 +318,10 @@ class WireTimingEstimator:
         """
         return self.bind_sample(sample)(sample.paths)[:2]
 
-    def bind_sample(self, sample: NetSample) -> PathPredictor:
+    def bind_sample(self, sample: NetSample) -> NetPredictor:
         """:meth:`predict_sample` split at the input-slew boundary.
 
-        The returned function takes this net's path records at any input
+        The returned predictor takes this net's path records at any input
         slew, as a sample built at that slew holds them, and returns what
         :meth:`predict_sample` would, with the tier that produced it
         (``"model"`` or ``"label-prior"``).  The net runs as a pack of one
@@ -307,12 +330,12 @@ class WireTimingEstimator:
         return self.bind_samples([sample])[0]
 
     def bind_samples(self, samples: Sequence[NetSample]
-                     ) -> List[PathPredictor]:
+                     ) -> List[NetPredictor]:
         """:meth:`bind_sample` of many nets, their slew-free halves packed.
 
         A model with a ``bind_many`` method (GNNTrans) runs the slew-free
         half of every net here, in one call whose packs leave each net
-        bitwise its pack of one, and each function keeps only what the
+        bitwise its pack of one, and each predictor keeps only what the
         rest reads, not the sample's graph.  Other models run their whole
         forward on every call.  When the call raises, each net is re-run
         alone, as in :meth:`_predict_pack`; a net whose slew-free half
@@ -322,7 +345,8 @@ class WireTimingEstimator:
         self._require_fitted()
         bind_many = getattr(self.model, "bind_many", None) \
             or _forward_per_call(self.model)
-        return [self._predictor(sample, forward) for sample, forward
+        return [NetPredictor(self, sample.name, sample.design, forward)
+                for sample, forward
                 in zip(samples, self._bind_pack(bind_many, samples))]
 
     def _bind_pack(self, bind_many: BindMany, samples: Sequence[NetSample]
@@ -343,18 +367,74 @@ class WireTimingEstimator:
                 net=samples[0].name, design=samples[0].design,
                 stage="predict", tier="label-prior", cause=exc))]
 
-    def _predictor(self, sample: NetSample,
-                   forward: Union[PathForward, str]) -> PathPredictor:
-        """One net's :data:`PathPredictor` from its slew-free half, or
-        from the reason its slew-free half failed."""
-        net, design = sample.name, sample.design
+    def predict_many(self, calls: Sequence[Tuple[NetPredictor,
+                                                 Sequence[PathRecord]]]
+                     ) -> List[Prediction]:
+        """Each ``(predictor, paths)`` call, as the predictor's own call
+        returns it.
+
+        The calls on nets that GNNTrans pooled group by exact path count,
+        and each group runs the heads once, in one
+        :meth:`~repro.core.gnntrans.GNNTrans.heads_stack` call that leaves
+        every net bitwise its own call.  Other calls run their forward
+        alone.  Output handling, label-prior degradation and provenance
+        stay per call: a group that raises is re-run call by call, so a
+        failure degrades only its own net, and records come in call order.
+        """
+        outputs: Dict[int, _NetPrediction] = {}
+        groups: Dict[int, List[int]] = {}
+        for index, (predictor, paths) in enumerate(calls):
+            if isinstance(predictor.forward, PooledPaths):
+                groups.setdefault(len(paths), []).append(index)
+        for members in groups.values():
+            outputs.update(zip(members, self._predict_stack(
+                [calls[i] for i in members])))
+        results: List[Prediction] = []
+        for index, (predictor, paths) in enumerate(calls):
+            output = outputs.get(index)
+            if output is None:
+                output = self._predict_alone(predictor, paths)
+            slew_ps, delay_ps, tier, reason = output
+            _PREDICTIONS.inc()
+            self._record(predictor.net, predictor.design, tier, reason)
+            results.append((slew_ps, delay_ps, tier))
+        return results
+
+    def _predict_stack(self, calls: Sequence[Tuple[NetPredictor,
+                                                   Sequence[PathRecord]]]
+                       ) -> List[_NetPrediction]:
+        """One path count's calls from one stacked heads run, or each call
+        alone when the stack raises."""
+        try:
+            with self._eval_mode():
+                slew, delay = self.model.heads_stack(
+                    [predictor.forward for predictor, _ in calls],
+                    [paths for _, paths in calls])
+            return [self._outputs(slew.data[b], delay.data[b], paths)
+                    for b, (_, paths) in enumerate(calls)]
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except Exception:  # repro-lint: disable=ERR002 each call re-runs alone and degrades with its own typed reason
+            return [self._predict_alone(*call) for call in calls]
+
+    def _predict_alone(self, predictor: NetPredictor,
+                       paths: Sequence[PathRecord]) -> _NetPrediction:
+        """One call's output from its own forward, or the label prior with
+        the reason its forward failed."""
+        forward = predictor.forward
         if isinstance(forward, str):
-            def degraded(paths: Sequence[PathRecord]
-                         ) -> Tuple[np.ndarray, np.ndarray, str]:
-                _PREDICTIONS.inc()
-                return self._degrade(net, design, paths, forward)
-            return degraded
-        return lambda paths: self._predict_with(forward, net, design, paths)
+            return self._prior_prediction(paths) + ("label-prior", forward)
+        try:
+            with self._eval_mode():
+                slew, delay = forward(paths)
+            return self._outputs(slew.data[0], delay.data[0], paths)
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except Exception as exc:  # degraded-but-valid beats an aborted run
+            return self._prior_prediction(paths) + ("label-prior", str(
+                ModelError(f"inference failed: {type(exc).__name__}: {exc}",
+                           net=predictor.net, design=predictor.design,
+                           stage="predict", tier="label-prior", cause=exc)))
 
     @contextlib.contextmanager
     def _eval_mode(self) -> Iterator[None]:
@@ -368,25 +448,6 @@ class WireTimingEstimator:
         finally:
             if was_training:
                 self.model.train()
-
-    def _predict_with(self, forward: PathForward, net: str, design: str,
-                      paths: Sequence[PathRecord]
-                      ) -> Tuple[np.ndarray, np.ndarray, str]:
-        _PREDICTIONS.inc()
-        try:
-            with self._eval_mode():
-                slew, delay = forward(paths)
-            slew_ps, delay_ps, tier, reason = self._outputs(
-                slew.data[0], delay.data[0], paths)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:  # degraded-but-valid beats an aborted run
-            return self._degrade(net, design, paths, str(ModelError(
-                f"inference failed: {type(exc).__name__}: {exc}",
-                net=net, design=design, stage="predict",
-                tier="label-prior", cause=exc)))
-        self._record(net, design, tier, reason)
-        return slew_ps, delay_ps, tier
 
     def _outputs(self, slew: np.ndarray, delay: np.ndarray,
                  paths: Sequence[PathRecord]) -> _NetPrediction:
@@ -402,13 +463,6 @@ class WireTimingEstimator:
         return (np.where(finite, slew_ps, prior_slew),
                 np.where(finite, delay_ps, prior_delay), "label-prior",
                 f"{bad}/{finite.size} paths non-finite")
-
-    def _degrade(self, net: str, design: str, paths: Sequence[PathRecord],
-                 reason: str) -> Tuple[np.ndarray, np.ndarray, str]:
-        """Serve ``paths`` from the label prior, recording ``reason``."""
-        prior_slew, prior_delay = self._prior_prediction(paths)
-        self._record(net, design, "label-prior", reason)
-        return prior_slew, prior_delay, "label-prior"
 
     def _prior_prediction(self, paths: Sequence[PathRecord]
                           ) -> Tuple[np.ndarray, np.ndarray]:
@@ -550,6 +604,28 @@ def _raising(exc: Exception) -> WireBinding:
     return timing
 
 
+class _LearnedBinding:
+    """One net bound by :meth:`LearnedWireModel.bind_many`: its name, its
+    scaled path records and its :class:`NetPredictor`.  A call is a
+    :meth:`LearnedWireModel.time_many` of one."""
+
+    __slots__ = ("model", "net", "paths", "predictor")
+
+    def __init__(self, model: "LearnedWireModel", net: str,
+                 paths: Sequence[PathRecord],
+                 predictor: NetPredictor) -> None:
+        self.model = model
+        self.net = net
+        self.paths = paths
+        self.predictor = predictor
+
+    def __call__(self, input_slew: float) -> WireTiming:
+        result = self.model.time_many([(self, input_slew)])[0]
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+
 class LearnedWireModel(WireTimingModel):
     """Adapter exposing a trained estimator as an STA wire-delay engine.
 
@@ -584,19 +660,17 @@ class LearnedWireModel(WireTimingModel):
     def bind_many(self, requests: Sequence[BindRequest]
                   ) -> List[WireBinding]:
         """Build, scale and encode every request's net; each call of a
-        binding re-slews its net.
+        binding re-slews its net (see :meth:`time_many`).
 
         The samples are built with the moments of all nets from one
         size-grouped pass (``analyze_nets_for_features``, bitwise the
         per-net computation), scaled, and bound by one
         :meth:`WireTimingEstimator.bind_samples` call, which packs the
-        model's slew-free halves.  Each call writes its input slew into
-        the scaled input-slew path feature and each path's
-        ``input_slew_ps``, then runs only the per-slew half, so it returns
-        bitwise what a sample built at that slew gives, with the
-        prediction's tier (``"model"`` or ``"label-prior"``).  A net whose
-        sample cannot be built gets a binding that raises the build's
-        error, so the stage that needs it fails as an eager build would.
+        model's slew-free halves.  A binding is a callable object that
+        keeps the net's scaled path records and its predictor, which
+        :meth:`time_many` reads.  A net whose sample cannot be built gets
+        a binding that raises the build's error, so the stage that needs
+        it fails as an eager build would.
         """
         from ..features.path_features import analyze_nets_for_features
 
@@ -623,34 +697,63 @@ class LearnedWireModel(WireTimingModel):
                 continue
             built.append(index)
         samples = self.feature_scaler.transform(samples)
-        for index, sample, predict in zip(
+        for index, sample, predictor in zip(
                 built, samples, self.estimator.bind_samples(samples)):
-            bindings[index] = self._reslewed(requests[index].net.name,
-                                             sample.paths, predict)
+            bindings[index] = _LearnedBinding(
+                self, requests[index].net.name, sample.paths, predictor)
         return [bindings[index] for index in range(len(requests))]
 
-    def _reslewed(self, net: str, paths: Sequence[PathRecord],
-                  predict: PathPredictor) -> WireBinding:
-        """One net's binding: ``predict`` at each call's input slew."""
-        mean = self.feature_scaler.path_mean[_SLEW_COLUMN]
-        std = self.feature_scaler.path_std[_SLEW_COLUMN]
+    def time_many(self, calls: Sequence[WireCall]) -> List[WireResult]:
+        """Each call's net re-slewed, and all of them predicted by one
+        :meth:`WireTimingEstimator.predict_many` call, which runs the
+        heads once per path count.
 
-        def timing(input_slew: float) -> Tuple[np.ndarray, np.ndarray, str]:
-            input_slew_ps = input_slew / _PS
-            scaled = (input_slew_ps - mean) / std
-            at_slew = []
-            for path in paths:
-                features = path.features.copy()
-                features[_SLEW_COLUMN] = scaled
-                at_slew.append(replace(path, features=features,
-                                       input_slew_ps=input_slew_ps))
-            slew_ps, delay_ps, tier = predict(at_slew)
-            if not (np.all(np.isfinite(slew_ps))
-                    and np.all(np.isfinite(delay_ps))):
-                raise ModelError("learned prediction is non-finite",
-                                 net=net, stage="predict", tier=self.name)
-            return delay_ps * _PS, slew_ps * _PS, tier
-        return timing
+        A call writes its input slew into the scaled input-slew path
+        feature and each path's ``input_slew_ps``, so it returns bitwise
+        what a sample built at that slew gives, with the prediction's
+        tier (``"model"`` or ``"label-prior"``).  A non-finite prediction
+        comes back as a :class:`ModelError` in its place, and a net whose
+        sample could not be built as the build's error.
+        """
+        results: Dict[int, WireResult] = {}
+        learned: List[int] = []
+        for index, (binding, input_slew) in enumerate(calls):
+            if isinstance(binding, _LearnedBinding):
+                learned.append(index)
+            else:  # a net whose sample could not be built
+                results[index] = super().time_many(
+                    [(binding, input_slew)])[0]
+        predictions = self.estimator.predict_many(
+            [(calls[i][0].predictor, self._at_slew(calls[i][0].paths,
+                                                   calls[i][1]))
+             for i in learned])
+        for index, (slew_ps, delay_ps, tier) in zip(learned, predictions):
+            if np.all(np.isfinite(slew_ps)) and np.all(np.isfinite(delay_ps)):
+                results[index] = (delay_ps * _PS, slew_ps * _PS, tier)
+            else:
+                results[index] = ModelError(
+                    "learned prediction is non-finite",
+                    net=calls[index][0].net, stage="predict",
+                    tier=self.name)
+        return [results[index] for index in range(len(calls))]
+
+    def _at_slew(self, paths: Sequence[PathRecord],
+                 input_slew: float) -> List[PathRecord]:
+        """``paths`` as a sample built at ``input_slew`` (s) holds them."""
+        input_slew_ps = input_slew / _PS
+        scaled = ((input_slew_ps - self.feature_scaler.path_mean[_SLEW_COLUMN])
+                  / self.feature_scaler.path_std[_SLEW_COLUMN])
+        at_slew = []
+        for path in paths:
+            features = path.features.copy()
+            features[_SLEW_COLUMN] = scaled
+            # The constructor, not dataclasses.replace: this runs per path
+            # of every stage miss.
+            at_slew.append(PathRecord(
+                sink=path.sink, node_indices=path.node_indices,
+                features=features, label_slew=path.label_slew,
+                label_delay=path.label_delay, input_slew_ps=input_slew_ps))
+        return at_slew
 
     @property
     def name(self) -> str:

@@ -22,7 +22,8 @@ Only the path features of step 3 carry the input slew.  :meth:`GNNTrans.bind`
 therefore runs steps 1-3's mean pooling once per net, and each new slew
 pays only for the path-feature join and the heads.
 :meth:`GNNTrans.bind_many` does so for many nets in one encoder pass per
-node count.
+node count, and :meth:`GNNTrans.heads_stack` runs the join and the heads of
+many bound nets of one path count at once.
 """
 
 from __future__ import annotations
@@ -42,6 +43,24 @@ from .transformer_layer import TransformerModule
 
 #: One net's forward from its path records, each output (1, P).
 PathForward = Callable[[Sequence[PathRecord]], Tuple[Tensor, Tensor]]
+
+
+class PooledPaths:
+    """One net's slew-free half from :meth:`GNNTrans.bind_many`.
+
+    ``pooled`` is the net's mean final node representation per wire path,
+    (1, P, hidden).  Called with the net's path records, it is a
+    :data:`PathForward`: a :meth:`GNNTrans.heads_stack` of one.
+    """
+
+    __slots__ = ("model", "pooled")
+
+    def __init__(self, model: "GNNTrans", pooled: Tensor) -> None:
+        self.model = model
+        self.pooled = pooled
+
+    def __call__(self, paths: Sequence[PathRecord]) -> Tuple[Tensor, Tensor]:
+        return self.model.heads_stack([self], [paths])
 
 
 class GNNTrans(Module):
@@ -113,7 +132,7 @@ class GNNTrans(Module):
         batch = self._packed(batch)
         return self.join_path_features(self.pool(batch), batch.path_features)
 
-    def bind(self, sample: NetSample) -> PathForward:
+    def bind(self, sample: NetSample) -> PooledPaths:
         """:meth:`forward` of one net, split at the input-slew boundary.
 
         Runs :meth:`pool` on ``sample`` as a pack of one, once, and returns
@@ -123,7 +142,7 @@ class GNNTrans(Module):
         """
         return self.bind_many([sample])[0]
 
-    def bind_many(self, samples: Sequence[NetSample]) -> List[PathForward]:
+    def bind_many(self, samples: Sequence[NetSample]) -> List[PooledPaths]:
         """:meth:`bind` of each sample, with one encoder pass per node count.
 
         Nets of one node count share a pack without node padding, and
@@ -135,21 +154,35 @@ class GNNTrans(Module):
         groups: Dict[int, List[int]] = {}
         for index, sample in enumerate(samples):
             groups.setdefault(sample.num_nodes, []).append(index)
-        forwards: Dict[int, PathForward] = {}
+        forwards: Dict[int, PooledPaths] = {}
         for members in groups.values():
             batch = self.pack([samples[i] for i in members])
             nodes = self.encode(batch).data
             for b, index in enumerate(members):
                 paths = samples[index].num_paths
-                forwards[index] = self._heads_at(matmul_const(
+                forwards[index] = PooledPaths(self, matmul_const(
                     batch.mean_pool[b:b + 1, :paths],
                     Tensor(nodes[b:b + 1])))
         return [forwards[index] for index in range(len(samples))]
 
-    def _heads_at(self, pooled: Tensor) -> PathForward:
-        """The heads on one net's (1, P, hidden) pooled rows."""
-        return lambda paths: self.heads(self.join_path_features(
-            pooled, np.vstack([p.features for p in paths])[None]))
+    def heads_stack(self, nets: Sequence[PooledPaths],
+                    paths: Sequence[Sequence[PathRecord]]
+                    ) -> Tuple[Tensor, Tensor]:
+        """The path-feature join and the heads of bound nets of one path
+        count P, run once on their (B, P, d) stack.
+
+        ``paths[b]`` holds net b's P path records.  Each output is
+        (B, P), and row b is bitwise net b's own call: numpy's stacked
+        matmul makes one BLAS call per (P, d) slice, the call a stack of
+        one makes.  Flattening the rows into one 2-D matmul, or padding
+        nets to one path count, would change a net's rows with its
+        stack-mates.
+        """
+        pooled = nets[0].pooled if len(nets) == 1 \
+            else concat([net.pooled for net in nets], axis=0)
+        features = np.stack([np.vstack([p.features for p in net_paths])
+                             for net_paths in paths])
+        return self.heads(self.join_path_features(pooled, features))
 
     def forward(self, batch: Union[NetBatch, NetSample]
                 ) -> Tuple[Tensor, Tensor]:

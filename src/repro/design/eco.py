@@ -261,8 +261,9 @@ class ECOTimingEngine:
         re-binds the dirty nets that lie on timed paths in one
         :meth:`~repro.design.sta.WireTimingModel.bind_many` call, then
         re-times the union of the dirty nets' fanout cones and the
-        structurally rewritten paths.  Everything else is served from
-        the warm memo.
+        structurally rewritten paths together, level by level
+        (:meth:`~repro.design.sta.StageTimer.time_paths`).  Everything
+        else is served from the warm memo.
         """
         if self._results is None:
             raise InputError("ECOTimingEngine: run full_pass() before "
@@ -276,11 +277,13 @@ class ECOTimingEngine:
             self._reindex_paths(edit.rewritten_paths)
         self.engine.bind_nets(name for name in edit.dirty_nets
                               if self._cone_index.get(name))
-        dirty = self.cone(edit.dirty_nets) | set(edit.rewritten_paths)
+        dirty = sorted(self.cone(edit.dirty_nets)
+                       | set(edit.rewritten_paths))
         hits_before = self.engine.hits
-        for index in sorted(dirty):
-            self._results[index] = self.engine.path_arrival(
-                self.netlist.paths[index])
+        timings = self.engine.time_paths([self.netlist.paths[index]
+                                          for index in dirty])
+        for index, timing in zip(dirty, timings):
+            self._results[index] = timing
         stages_reused = self.engine.hits - hits_before
         _EDITS_APPLIED.inc()
         _PATHS_RETIMED.inc(len(dirty))
@@ -289,7 +292,7 @@ class ECOTimingEngine:
         _STALE_DROPPED.inc(dropped)
         _SOLVES_INVALIDATED.inc(solves)
         _CONE_SIZE.observe(len(dirty))
-        return EditOutcome(edit=edit, retimed_paths=tuple(sorted(dirty)),
+        return EditOutcome(edit=edit, retimed_paths=tuple(dirty),
                            stages_reused=stages_reused,
                            stale_entries_dropped=dropped,
                            solves_invalidated=solves)

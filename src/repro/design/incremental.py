@@ -18,7 +18,8 @@ The key also carries the resolved timing-arc pin: two paths entering the
 same gate through different arcs at the same slew are distinct stages and
 must never share an entry.  The second memo, of per-net wire bindings, is
 keyed by net and driver cell, depends on neither slew nor pin, and is
-dropped with the stage entries of the same nets.
+dropped with the stage entries of the same nets.  Both memos are indexed
+by net, so dropping a net's entries is a lookup whatever the memo's size.
 """
 
 from __future__ import annotations
@@ -63,23 +64,24 @@ class IncrementalSTAEngine(StageTimer):
     def invalidate_nets(self, net_names: Iterable[str]) -> int:
         """Drop the named nets' stage entries and net bindings.
 
+        Each net's entries are found through the memos' net index, so
+        the cost grows with the entries dropped, not with the memo.
         Returns the number of stage entries dropped.
         """
-        stale = set(net_names)
-        if not stale:
-            return 0
+        dropped = 0
         with self._lock:
-            stale_keys = [key for key in self._cache if key[0] in stale]
-            for key in stale_keys:
-                del self._cache[key]
-            for net_key in [k for k in self._nets if k[0] in stale]:
-                del self._nets[net_key]
-        return len(stale_keys)
+            for name in net_names:
+                for key in self._stage_keys.pop(name, {}):
+                    del self._cache[key]
+                    dropped += 1
+                self._nets.pop(name, None)
+        return dropped
 
     def clear(self) -> None:
         """Drop both memos (e.g. after wholesale edits)."""
         with self._lock:
             self._cache.clear()
+            self._stage_keys.clear()
             self._nets.clear()
 
     def analyze_paths(self, paths: Optional[List[TimingPath]] = None
@@ -87,11 +89,13 @@ class IncrementalSTAEngine(StageTimer):
         """Arrival times for ``paths`` (default: all recorded paths).
 
         The nets of ``paths`` not bound yet are bound first, in one
-        :meth:`~repro.design.sta.WireTimingModel.bind_many` call.
+        :meth:`~repro.design.sta.WireTimingModel.bind_many` call, then
+        the paths are timed level by level
+        (:meth:`~repro.design.sta.StageTimer.time_paths`).
         """
         paths = paths if paths is not None else self.netlist.paths
         self.bind_nets(stage.net for path in paths for stage in path.stages)
-        return [self.path_arrival(p) for p in paths]
+        return self.time_paths(paths)
 
     @property
     def hit_rate(self) -> float:

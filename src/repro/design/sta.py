@@ -5,7 +5,8 @@ the paper) and wire delays (pluggable: golden simulator, Elmore, D2M, or a
 learned estimator).  This is the machinery behind Table V: swapping the wire
 model changes arrival-time accuracy and runtime while the gate side stays
 fixed.  One stage kernel, :class:`StageTimer`, times every stage for every
-engine and computes each distinct stage once per memo.
+engine, level by level along the paths, and computes each distinct stage
+once per memo.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -60,11 +61,16 @@ def resolve_arc_pin(cell: Cell, input_pin: str, *, net: Optional[str] = None,
         net=net, design=design, stage="sta")
 
 
-#: A wire model bound to one net: input slew (s) -> per-sink
-#: ``(delays, slews)`` (s) and the tier that served the call (``None`` for
-#: a model without tiers).
-WireBinding = Callable[[float],
-                       Tuple[np.ndarray, np.ndarray, Optional[str]]]
+#: One net's per-sink ``(delays, slews)`` (s) and the tier that served
+#: them (``None`` for a model without tiers).
+WireTiming = Tuple[np.ndarray, np.ndarray, Optional[str]]
+#: A wire model bound to one net: input slew (s) -> its :data:`WireTiming`.
+WireBinding = Callable[[float], WireTiming]
+#: One call for :meth:`WireTimingModel.time_many`: a binding and the input
+#: slew (s) to call it at.
+WireCall = Tuple[WireBinding, float]
+#: A call's :data:`WireTiming`, or the exception the call raised.
+WireResult = Union[WireTiming, Exception]
 
 
 class BindRequest(NamedTuple):
@@ -80,7 +86,15 @@ class BindRequest(NamedTuple):
 
 
 class WireTimingModel(ABC):
-    """Interface every wire-delay engine exposes to the STA core."""
+    """Interface every wire-delay engine exposes to the STA core.
+
+    :meth:`wire_timing` times one net at one input slew.  The STA kernel
+    reaches a model through two batch calls: :meth:`bind_many`, once per
+    pass (or edit) for the slew-free work of its nets, and
+    :meth:`time_many`, once per path level for the per-slew calls of the
+    level's missed stages.  A model overrides either to share work across
+    nets; each result must stay bitwise its per-net counterpart's.
+    """
 
     @abstractmethod
     def wire_timing(self, net: RCNet, input_slew: float,
@@ -124,6 +138,26 @@ class WireTimingModel(ABC):
         bound with others (a cold pass).  This default maps :meth:`bind`.
         """
         return [self.bind(*request) for request in requests]
+
+    def time_many(self, calls: Sequence[WireCall]) -> List[WireResult]:
+        """Each ``(binding, input_slew)`` call of this model's bindings.
+
+        A model overrides this to share per-slew work across the nets of
+        one call; each result must equal its binding's own call at that
+        slew bitwise.  A call that raises returns its exception in its
+        place, as ``asyncio.gather(..., return_exceptions=True)`` does, so
+        the caller raises it with that call's own provenance and the other
+        calls keep their results.  This default calls each binding in turn.
+        """
+        results: List[WireResult] = []
+        for binding, input_slew in calls:
+            try:
+                results.append(binding(input_slew))
+            except (KeyboardInterrupt, SystemExit):
+                raise
+            except Exception as exc:  # repro-lint: disable=ERR002 returned in place; StageTimer raises it typed
+                results.append(exc)
+        return results
 
     @property
     def name(self) -> str:
@@ -278,7 +312,9 @@ class STAReport:
     wire-timing engine.  The wire column is the wire model's
     :meth:`WireTimingModel.bind_many` call, which binds every net of the
     pass at once (a learned model's feature extraction and encoder, an
-    analytic model's batched solves), plus its per-slew calls.
+    analytic model's batched solves), plus its
+    :meth:`WireTimingModel.time_many` calls, one per path level (a
+    learned model's heads, once per path count).
     """
 
     design: str
@@ -303,7 +339,8 @@ StageKey = Tuple[str, str, str, float]
 #: wire-model tier that served the stage).
 StageEntry = Tuple[float, np.ndarray, np.ndarray, Optional[str]]
 #: Net memo key: (net, driver cell name), the stage key without the parts
-#: that only the gate lookup and the wire model's slew input read.
+#: that only the gate lookup and the wire model's slew input read.  The
+#: memo holds it net first, ``{net: {driver cell name: entry}}``.
 NetKey = Tuple[str, str]
 #: Net memo entry: (effective capacitance, wire-model binding, slew-model
 #: binding or ``None``).
@@ -321,19 +358,24 @@ class StageTimer:
     under :data:`NetKey`, holds each net's slew-free work: its effective
     capacitance and the models' bindings.  :meth:`bind_nets` fills it
     with one :meth:`WireTimingModel.bind_many` call per model for a whole
-    pass, or for an edit's dirty nets; a stage on a net not bound yet
-    binds it alone.  A stage miss on a bound net costs one NLDM lookup
-    plus one binding call.  A cold :class:`STAEngine` pass is this kernel
-    run from empty memos;
+    pass, or for an edit's dirty nets.
+
+    :meth:`time_paths` times paths level by level, where level k is the
+    k-th stage of every path that has one: level k's input slews are
+    level k-1's output slews.  A level's stage keys are looked up
+    together; its misses bind their nets not bound yet in one
+    ``bind_many`` call per model, look up their gates, and time their
+    wires in one :meth:`WireTimingModel.time_many` call per model.  A
+    cold :class:`STAEngine` pass is this kernel run from empty memos;
     :class:`~repro.design.incremental.IncrementalSTAEngine` is this
-    kernel with its memos kept across calls.
+    kernel with its memos kept across calls.  Both memos are indexed by
+    net, so invalidating a net is a lookup, not a scan.
 
     Parameters are those of :class:`STAEngine`, except that pins default
     to strict.  ``hits`` and ``misses`` count stage-memo lookups, and
     ``wire_seconds`` is the time spent inside ``wire_model``: its
-    ``bind_many`` calls plus its per-slew calls on the missed stages, the
-    wire column of Table V.  Effective capacitance counts in the gate
-    column.
+    ``bind_many`` and ``time_many`` calls, the wire column of Table V.
+    Effective capacitance counts in the gate column.
     """
 
     def __init__(self, netlist: Netlist, wire_model: WireTimingModel,
@@ -350,52 +392,135 @@ class StageTimer:
         # the lock — stage computation happens outside it.
         self._lock = named_lock("StageTimer._lock")
         self._cache: Dict[StageKey, StageEntry] = {}  # repro-guarded-by: _lock
-        self._nets: Dict[NetKey, NetEntry] = {}  # repro-guarded-by: _lock
+        # The stage keys in _cache, by net (dicts as ordered sets).
+        self._stage_keys: Dict[str, Dict[StageKey, None]] = {}  # repro-guarded-by: _lock
+        self._nets: Dict[str, Dict[str, NetEntry]] = {}  # repro-guarded-by: _lock
         self.hits = 0  # repro-guarded-by: _lock
         self.misses = 0  # repro-guarded-by: _lock
         self.wire_seconds = 0.0  # repro-guarded-by: _lock
 
-    def stage_timing(self, stage: PathStage, slew: float) -> StageEntry:
-        """Timing of ``stage`` entered at input slew ``slew``, memoized."""
-        gate = self.netlist.gates[stage.gate]
-        design = self.netlist.name
-        pin = resolve_arc_pin(gate.cell, stage.input_pin, net=stage.net,
-                              design=design, lenient=self.lenient_pins)
-        key = (stage.net, gate.cell.name, pin, slew)
-        with self._lock:
-            entry = self._cache.get(key)
-            if entry is not None:
-                self.hits += 1
-                return entry
-            self.misses += 1
-            bound = self._nets.get(key[:2])
+    def time_paths(self, paths: Sequence[TimingPath]) -> List[PathTiming]:
+        """Arrival time at each path's endpoint, with per-stage breakdown.
 
+        Paths are timed level by level (see the class docstring); each
+        path's sums run over its own stages in order, so a path's timing
+        does not depend on the paths timed with it.
+        """
+        design = self.netlist.name
+        slews = [self.launch_slew] * len(paths)
+        timed: List[List[StageTiming]] = [[] for _ in paths]
+        active = [i for i, path in enumerate(paths) if path.stages]
+        level = 0
+        while active:
+            stages = [paths[i].stages[level] for i in active]
+            entries = self._time_level(stages, [slews[i] for i in active])
+            for i, stage, entry in zip(active, stages, entries):
+                gate_delay, delays, out_slews, tier = entry
+                wire_delay = float(delays[stage.sink_index])
+                slew = float(out_slews[stage.sink_index])
+                if not (math.isfinite(gate_delay)
+                        and math.isfinite(wire_delay)
+                        and math.isfinite(slew)):
+                    raise NumericalError(
+                        "non-finite stage timing", net=stage.net,
+                        design=design, sink=stage.sink_index, stage="sta",
+                        tier=tier)
+                timed[i].append(StageTiming(stage.gate, stage.net,
+                                            gate_delay, wire_delay, slew,
+                                            tier=tier))
+                slews[i] = slew
+            level += 1
+            active = [i for i in active if len(paths[i].stages) > level]
+        return [_path_timing(path.name, stages)
+                for path, stages in zip(paths, timed)]
+
+    def _time_level(self, stages: Sequence[PathStage],
+                    slews: Sequence[float]) -> List[StageEntry]:
+        """Timing of each stage entered at its slew: one memo lookup per
+        stage, and the misses computed together."""
+        keys: List[StageKey] = []
+        cells: List[Cell] = []
+        for stage, slew in zip(stages, slews):
+            cell = self.netlist.gates[stage.gate].cell
+            pin = resolve_arc_pin(cell, stage.input_pin, net=stage.net,
+                                  design=self.netlist.name,
+                                  lenient=self.lenient_pins)
+            keys.append((stage.net, cell.name, pin, slew))
+            cells.append(cell)
+        found: Dict[StageKey, StageEntry] = {}
+        missed: Dict[StageKey, Tuple[Cell, Optional[NetEntry]]] = {}
+        with self._lock:
+            for key, cell in zip(keys, cells):
+                entry = self._cache.get(key)
+                if entry is not None:
+                    found[key] = entry
+                    self.hits += 1
+                elif key in missed:
+                    self.hits += 1  # computed below, as a later visit's hit
+                else:
+                    self.misses += 1
+                    missed[key] = cell, self._nets.get(key[0], {}).get(
+                        key[1])
         # Computed outside the lock: two threads missing on the same key
         # may both compute it (identical results; last store wins), which
         # beats serializing every wire-timing evaluation.
-        if bound is None:
-            bound = self._bind([(key[:2], gate.cell)])[0]
-        gate_delay, drive_slew = gate.cell.delay_and_slew(slew, bound[0], pin)
+        if missed:
+            found.update(self._compute(missed))
+        return [found[key] for key in keys]
+
+    def _compute(self, missed: Dict[StageKey,
+                                    Tuple[Cell, Optional[NetEntry]]]
+                 ) -> Dict[StageKey, StageEntry]:
+        """Time and memoize the missed stages, with one ``time_many`` call
+        per model; nets not bound yet are bound first, together."""
+        unbound = {key[:2]: cell for key, (cell, net) in missed.items()
+                   if net is None}
+        bound = dict(zip(unbound, self._bind(list(unbound.items())))) \
+            if unbound else {}
+        nets: List[NetEntry] = []
+        gate_delays: List[float] = []
+        drive_slews: List[float] = []
+        for key, (cell, net) in missed.items():
+            net = net if net is not None else bound[key[:2]]
+            gate_delay, drive_slew = cell.delay_and_slew(key[3], net[0],
+                                                         key[2])
+            nets.append(net)
+            gate_delays.append(gate_delay)
+            drive_slews.append(drive_slew)
         start = time.perf_counter()
-        try:
-            delays, slews, tier = bound[1](drive_slew)
-        except EstimationError:
-            raise  # already typed with provenance
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            raise ModelError(
-                f"wire model {self.wire_model.name!r} failed: "
-                f"{type(exc).__name__}: {exc}", net=stage.net,
-                design=design, stage="sta", cause=exc) from exc
+        wire = self.wire_model.time_many(
+            [(net[1], slew) for net, slew in zip(nets, drive_slews)])
         wire_seconds = time.perf_counter() - start
-        if bound[2] is not None:
-            _, slews, _ = bound[2](drive_slew)
-        entry = (gate_delay, delays, slews, tier)
+        slew_results = None if self.slew_model is None \
+            else self.slew_model.time_many(
+                [(net[2], slew) for net, slew in zip(nets, drive_slews)])
+        entries: Dict[StageKey, StageEntry] = {}
+        for i, key in enumerate(missed):
+            delays, slews, tier = self._checked(wire[i], self.wire_model,
+                                                key[0])
+            if slew_results is not None:
+                _, slews, _ = self._checked(slew_results[i],
+                                            self.slew_model, key[0])
+            entries[key] = (gate_delays[i], delays, slews, tier)
         with self._lock:
-            self._cache[key] = entry
+            self._cache.update(entries)
+            for key in entries:
+                self._stage_keys.setdefault(key[0], {})[key] = None
             self.wire_seconds += wire_seconds
-        return entry
+        return entries
+
+    def _checked(self, result: WireResult, model: WireTimingModel,
+                 net: str) -> WireTiming:
+        """``result``, or its exception raised typed with the stage's
+        net and design."""
+        if not isinstance(result, Exception):
+            return result
+        if isinstance(result, EstimationError):
+            raise result  # already typed with provenance
+        raise ModelError(
+            f"wire model {model.name!r} failed: "
+            f"{type(result).__name__}: {result}", net=net,
+            design=self.netlist.name, stage="sta", cause=result) from result
 
     def bind_nets(self, names: Iterable[str]) -> None:
         """Bind the models to each named net and its current driver.
@@ -409,7 +534,7 @@ class StageTimer:
             todo[(name, cell.name)] = cell
         with self._lock:
             todo = {key: cell for key, cell in todo.items()
-                    if key not in self._nets}
+                    if key[1] not in self._nets.get(key[0], ())}
         if todo:
             self._bind(list(todo.items()))
 
@@ -438,33 +563,22 @@ class StageTimer:
         wire_seconds = time.perf_counter() - start
         entries = list(zip(loads, wire, slew))
         with self._lock:
-            self._nets.update(zip((key for key, _ in todo), entries))
+            for ((name, cell_name), _), entry in zip(todo, entries):
+                self._nets.setdefault(name, {})[cell_name] = entry
             self.wire_seconds += wire_seconds
         return entries
 
-    def path_arrival(self, path: TimingPath) -> PathTiming:
-        """Arrival time at the path endpoint, with per-stage breakdown."""
-        arrival = 0.0
-        gate_total = 0.0
-        wire_total = 0.0
-        slew = self.launch_slew
-        stages: List[StageTiming] = []
-        for stage in path.stages:
-            gate_delay, delays, slews, tier = self.stage_timing(stage, slew)
-            wire_delay = float(delays[stage.sink_index])
-            slew = float(slews[stage.sink_index])
-            if not (math.isfinite(gate_delay) and math.isfinite(wire_delay)
-                    and math.isfinite(slew)):
-                raise NumericalError(
-                    "non-finite stage timing", net=stage.net,
-                    design=self.netlist.name, sink=stage.sink_index,
-                    stage="sta", tier=tier)
-            arrival += gate_delay + wire_delay
-            gate_total += gate_delay
-            wire_total += wire_delay
-            stages.append(StageTiming(stage.gate, stage.net, gate_delay,
-                                      wire_delay, slew, tier=tier))
-        return PathTiming(path.name, arrival, gate_total, wire_total, stages)
+
+def _path_timing(name: str, stages: List[StageTiming]) -> PathTiming:
+    """A path's timing from its stages, summed in path order."""
+    arrival = 0.0
+    gate_total = 0.0
+    wire_total = 0.0
+    for stage in stages:
+        arrival += stage.gate_delay + stage.wire_delay
+        gate_total += stage.gate_delay
+        wire_total += stage.wire_delay
+    return PathTiming(name, arrival, gate_total, wire_total, stages)
 
 
 class STAEngine:
@@ -517,7 +631,7 @@ class STAEngine:
 
     def path_arrival(self, path: TimingPath) -> PathTiming:
         """Arrival time at the path endpoint, with per-stage breakdown."""
-        timing = self._timer().path_arrival(path)
+        timing = self._timer().time_paths([path])[0]
         _PATHS_TIMED.inc()
         _STAGES_TIMED.inc(len(timing.stages))
         return timing
@@ -526,11 +640,11 @@ class STAEngine:
         """Arrival times of every recorded path, with a runtime split.
 
         The pass binds every net of its paths in one
-        :meth:`WireTimingModel.bind_many` call, then times the paths.
-        The wire column is the time spent inside the wire model, that
-        call plus the per-slew calls of each computed stage; the gate
-        column is the rest of the pass, mirroring Table V's Gate/Wire
-        columns.
+        :meth:`WireTimingModel.bind_many` call, then times the paths
+        level by level (:meth:`StageTimer.time_paths`).  The wire column
+        is the time spent inside the wire model, that call plus one
+        :meth:`WireTimingModel.time_many` call per level; the gate column
+        is the rest of the pass, mirroring Table V's Gate/Wire columns.
         """
         model = self.wire_model
         paths = list(self.netlist.paths)
@@ -541,7 +655,7 @@ class STAEngine:
             start = time.perf_counter()
             timer.bind_nets(stage.net for path in paths
                             for stage in path.stages)
-            timings = [timer.path_arrival(p) for p in paths]
+            timings = timer.time_paths(paths)
             total = time.perf_counter() - start
             wire_seconds = timer.wire_seconds
             _PATHS_TIMED.inc(len(timings))

@@ -135,8 +135,10 @@ class RCNet:
         self.couplings: Tuple[CouplingCap, ...] = tuple(couplings)
         self._validate()
         self._adjacency: Optional[List[List[Tuple[int, int]]]] = None
-        # Memo of repro.rcnet.paths.shortest_path_tree's resistance tree.
+        # Memos of repro.rcnet.paths.shortest_path_tree's resistance tree
+        # and of repro.analysis.mna.capacitance_vector's quiet vector.
         self._shortest_paths: Optional[tuple] = None
+        self._quiet_caps: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Validation

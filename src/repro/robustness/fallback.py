@@ -10,7 +10,10 @@ walk reads nothing but the net's own inputs, so a net's tier never depends
 on the nets served before it.
 
 The chain itself is a :class:`WireTimingModel`, so it plugs into
-:class:`~repro.design.sta.STAEngine` unchanged.  Its terminal tier — a
+:class:`~repro.design.sta.STAEngine` unchanged: it binds its first tier
+through that tier's own ``bind_many`` and times that tier's calls through
+its ``time_many``, so a learned first tier encodes each net once and runs
+its heads once per path count.  Its terminal tier — a
 single-time-constant lumped-RC estimate over sanitized inputs — cannot fail,
 so ``wire_timing`` never raises on any net the caller can construct.
 """
@@ -25,7 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..design.sta import (AWEWireModel, BindRequest, D2MWireModel,
-                          ElmoreWireModel, WireBinding, WireTimingModel)
+                          ElmoreWireModel, WireBinding, WireCall, WireResult,
+                          WireTiming, WireTimingModel)
 from ..features.path_features import NetContext
 from ..obs import get_metrics, named_lock
 from ..rcnet.graph import RCNet
@@ -94,6 +98,26 @@ class NetServeRecord:
     @property
     def degraded(self) -> bool:
         return bool(self.failures)
+
+
+class _ChainBinding:
+    """One net bound by :meth:`FallbackChain.bind_many`: its request and
+    the first tier's binding of it, or the exception binding it raised.
+    A call is a :meth:`FallbackChain.time_many` of one."""
+
+    __slots__ = ("chain", "request", "first")
+
+    def __init__(self, chain: "FallbackChain", request: BindRequest,
+                 first: Union[WireBinding, Exception]) -> None:
+        self.chain = chain
+        self.request = request
+        self.first = first
+
+    def __call__(self, input_slew: float) -> WireTiming:
+        result = self.chain.time_many([(self, input_slew)])[0]
+        if isinstance(result, Exception):
+            raise result
+        return result
 
 
 @dataclass
@@ -169,24 +193,83 @@ class FallbackChain(WireTimingModel):
     def bind(self, net: RCNet, sink_loads: np.ndarray,
              drive_resistance: float,
              context: Optional[NetContext] = None) -> WireBinding:
-        """A binding whose every call is one ladder walk, returning the
-        tier that served it with the timing."""
-        def timing(input_slew: float
-                   ) -> Tuple[np.ndarray, np.ndarray, Optional[str]]:
-            at_slew = None if context is None \
-                else replace(context, input_slew=input_slew)
-            delays, slews, record = self.wire_timing_with_provenance(
-                net, input_slew, sink_loads, drive_resistance,
-                context=at_slew)
-            return delays, slews, record.tier
-        return timing
+        """A :meth:`bind_many` of one request."""
+        return self.bind_many([BindRequest(net, sink_loads, drive_resistance,
+                                           context)])[0]
 
     def bind_many(self, requests: Sequence[BindRequest]
                   ) -> List[WireBinding]:
-        """Per-call ladder walks, after one :meth:`prime_nets` pass over
-        every request warms the primary tier's cache."""
-        self.prime_nets(requests)
-        return super().bind_many(requests)
+        """The first tier's bindings, from that tier's own ``bind_many``;
+        each call walks the ladder (see :meth:`time_many`).
+
+        When that call raises, each request is bound alone, and a request
+        that still raises starts every call at the second tier, with the
+        first tier's failure recorded.
+        """
+        return [_ChainBinding(self, request, first) for request, first
+                in zip(requests, self._bind_first(requests))]
+
+    def _bind_first(self, requests: Sequence[BindRequest]
+                    ) -> List[Union[WireBinding, Exception]]:
+        try:
+            return list(self._tiers[0][1].bind_many(requests))
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except Exception as exc:  # repro-lint: disable=ERR002 each net is re-bound alone, and a lone failure is recorded on each of its calls
+            if len(requests) == 1:
+                return [exc]
+            return [first for request in requests
+                    for first in self._bind_first([request])]
+
+    def time_many(self, calls: Sequence[WireCall]) -> List[WireResult]:
+        """Each call served by the first tier whose output passes
+        validation, with that tier's name as the call's tier.
+
+        The first tier's calls run in one ``time_many`` call of that tier,
+        and each result is validated.  Only the calls that failed walk the
+        lower tiers, one call at a time through ``wire_timing``.  The
+        ``served``/``failed`` counters count calls, and
+        ``fallback.tier_seconds.<tier>`` gets one observation per tier
+        invocation.  Without a last resort, a call that every tier fails
+        returns its :class:`EstimationError` in its place.
+        """
+        name, model = self._tiers[0]
+        firsts: Dict[int, WireResult] = {}
+        bound: List[int] = []
+        for index, (binding, _) in enumerate(calls):
+            if isinstance(binding.first, Exception):
+                firsts[index] = binding.first
+            else:
+                bound.append(index)
+        if bound:
+            start = time.perf_counter()
+            firsts.update(zip(bound, model.time_many(
+                [(calls[i][0].first, calls[i][1]) for i in bound])))
+            _observe(name, start)
+        results: List[WireResult] = []
+        for index, (binding, input_slew) in enumerate(calls):
+            request = binding.request
+            result = firsts[index]
+            failures: List[TierFailure] = []
+            reason = self._rejection(request.net, result)
+            if reason is None:
+                delays, slews, _ = self._served(request.net, name, result[0],
+                                                result[1], failures)
+                results.append((delays, slews, name))
+                continue
+            self._record_failure(name, failures, reason)
+            context = None if request.context is None \
+                else replace(request.context, input_slew=input_slew)
+            try:
+                delays, slews, record = self._walk(
+                    self._tiers[1:], request.net, input_slew,
+                    request.sink_loads, request.drive_resistance, context,
+                    failures)
+            except EstimationError as exc:
+                results.append(exc)
+                continue
+            results.append((delays, slews, record.tier))
+        return results
 
     def wire_timing(self, net: RCNet, input_slew: float,
                     sink_loads: np.ndarray, drive_resistance: float,
@@ -201,8 +284,17 @@ class FallbackChain(WireTimingModel):
             drive_resistance: float, context: Optional[NetContext] = None
             ) -> Tuple[np.ndarray, np.ndarray, NetServeRecord]:
         """Like :meth:`wire_timing` but also returns the provenance record."""
-        failures: List[TierFailure] = []
-        for name, model in self._tiers:
+        return self._walk(self._tiers, net, input_slew, sink_loads,
+                          drive_resistance, context, [])
+
+    def _walk(self, tiers: Sequence[Tuple[str, WireTimingModel]],
+              net: RCNet, input_slew: float, sink_loads: np.ndarray,
+              drive_resistance: float, context: Optional[NetContext],
+              failures: List[TierFailure]
+              ) -> Tuple[np.ndarray, np.ndarray, NetServeRecord]:
+        """Serve one net from the first of ``tiers`` that passes
+        validation, one ``wire_timing`` call per tier tried."""
+        for name, model in tiers:
             start = time.perf_counter()
             try:
                 delays, slews = model.wire_timing(
@@ -216,25 +308,43 @@ class FallbackChain(WireTimingModel):
             # counters) and the next tier serves the net — the chain's
             # whole contract is that no tier exception ever aborts a run.
             except Exception as exc:  # repro-lint: disable=ERR002
+                _observe(name, start)
                 self._record_failure(name, failures,
                                      f"{type(exc).__name__}: {exc}")
                 continue
-            get_metrics().histogram(f"fallback.tier_seconds.{name}").observe(
-                time.perf_counter() - start)
-            # The stats map read runs under the lock: reset_counters()
-            # rebinds self.stats[name] concurrently.
-            with self._lock:
-                self.stats[name].served += 1
-            get_metrics().counter(f"fallback.served.{name}").inc()
-            if failures:
-                get_metrics().counter("fallback.degraded_nets").inc()
-            return np.asarray(delays, dtype=np.float64), \
-                np.asarray(slews, dtype=np.float64), \
-                NetServeRecord(net.name, name, failures)
+            _observe(name, start)
+            return self._served(net, name, delays, slews, failures)
         raise EstimationError(
             f"every tier failed for net {net.name!r} and no last resort is "
             f"configured: {[f.reason for f in failures]}",
             net=net.name, stage="fallback")
+
+    def _rejection(self, net: RCNet, result: WireResult) -> Optional[str]:
+        """Why a tier's ``result`` cannot serve ``net``; ``None`` if it
+        can."""
+        if isinstance(result, Exception):
+            return f"{type(result).__name__}: {result}"
+        try:
+            self._validate(net, result[0], result[1])
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except Exception as exc:  # repro-lint: disable=ERR002 a malformed result is a recorded tier failure, as in _walk
+            return f"{type(exc).__name__}: {exc}"
+        return None
+
+    def _served(self, net: RCNet, name: str, delays: np.ndarray,
+                slews: np.ndarray, failures: List[TierFailure]
+                ) -> Tuple[np.ndarray, np.ndarray, NetServeRecord]:
+        # The stats map read runs under the lock: reset_counters()
+        # rebinds self.stats[name] concurrently.
+        with self._lock:
+            self.stats[name].served += 1
+        get_metrics().counter(f"fallback.served.{name}").inc()
+        if failures:
+            get_metrics().counter("fallback.degraded_nets").inc()
+        return np.asarray(delays, dtype=np.float64), \
+            np.asarray(slews, dtype=np.float64), \
+            NetServeRecord(net.name, name, failures)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -305,6 +415,12 @@ class FallbackChain(WireTimingModel):
     @property
     def name(self) -> str:
         return "FallbackChain(" + "->".join(self.tier_names) + ")"
+
+
+def _observe(tier: str, start: float) -> None:
+    """One ``fallback.tier_seconds.<tier>`` observation, from ``start``."""
+    get_metrics().histogram(f"fallback.tier_seconds.{tier}").observe(
+        time.perf_counter() - start)
 
 
 def default_fallback_chain(learned: Optional[WireTimingModel] = None,

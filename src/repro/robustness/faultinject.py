@@ -57,6 +57,7 @@ def _raw_net(name: str, nodes: Sequence[RCNode], edges: Sequence[RCEdge],
     net.couplings = tuple(couplings)
     net._adjacency = None
     net._shortest_paths = None
+    net._quiet_caps = None
     return net
 
 

@@ -212,6 +212,36 @@ class TestEngineCacheContract:
         assert isinstance(results[2], EigenSolve)
 
 
+class TestStackedMatmulSlices:
+    """Learned STA runs the heads of many nets of one path count on a
+    (B, P, d) stack, which ECO parity needs to equal each net's stack of
+    one bitwise.  numpy's stacked matmul makes one BLAS call per slice, so
+    it does; a numpy or BLAS build that batches the slices differently
+    fails here first."""
+
+    @staticmethod
+    def _head_weights():
+        from repro.core import DEFAULT_CONFIG, GNNTrans
+        from repro.features import NUM_NODE_FEATURES, NUM_PATH_FEATURES
+
+        heads = GNNTrans(NUM_NODE_FEATURES, NUM_PATH_FEATURES,
+                         DEFAULT_CONFIG).heads
+        return [layer.weight.data for mlp in (heads.slew_mlp, heads.delay_mlp)
+                for layer in mlp.layers]
+
+    @pytest.mark.parametrize("paths", [1, 2, 3, 4, 5, 6, 7, 8, 16, 29, 40])
+    def test_each_slice_equals_its_stack_of_one(self, paths):
+        rng = np.random.default_rng(paths)
+        for weight in self._head_weights():
+            for nets in (2, 3, 9, 40):
+                stack = rng.normal(size=(nets, paths, weight.shape[0]))
+                out = stack @ weight
+                for b in range(nets):
+                    alone = stack[b:b + 1].copy() @ weight
+                    assert out[b].tobytes() == alone[0].tobytes(), \
+                        (paths, weight.shape, nets, b)
+
+
 class TestPrimePasses:
     def test_prime_awe_matches_cold_scalar(self):
         """Primed AWE lookups return bitwise what a cold call computes."""

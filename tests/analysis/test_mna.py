@@ -51,6 +51,26 @@ class TestCapacitanceVector:
         with pytest.raises(ValueError):
             capacitance_vector(small_chain, sink_loads=np.zeros(3))
 
+    def test_quiet_vector_built_once_per_net(self, monkeypatch):
+        """Each call adds its loads to a copy of one memoized vector, so
+        no caller sees another's loads or writes."""
+        nodes = [RCNode(0, "a", 1e-15), RCNode(1, "b", 1e-15)]
+        net = RCNet("n", nodes, [RCEdge(0, 1, 100.0)], 0, [1],
+                    couplings=[CouplingCap(1, "x", 2e-15, activity=0.5)])
+        built = []
+        cap_vector = RCNet.cap_vector
+        monkeypatch.setattr(RCNet, "cap_vector",
+                            lambda self: built.append(1) or cap_vector(self))
+        loaded = capacitance_vector(net, sink_loads=np.array([5e-15]))
+        quiet = capacitance_vector(net)
+        loaded[0] = 1.0
+        assert len(built) == 1
+        assert quiet.tolist() == capacitance_vector(net).tolist() \
+            == [1e-15, 1e-15 + 2e-15]
+        assert loaded[1] == quiet[1] + 5e-15
+        capacitance_vector(net, miller_factor=1.0)
+        assert len(built) == 2  # a Miller vector is never memoized
+
 
 class TestReduceSource:
     def test_shape_and_positive_definite(self, nontree_net):

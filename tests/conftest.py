@@ -47,3 +47,20 @@ def encoder_packs(monkeypatch):
 
     monkeypatch.setattr(GNNTrans, "encode", spy)
     return packs
+
+
+@pytest.fixture
+def heads_stacks(monkeypatch):
+    """The net count of every stacked GNNTrans heads call run during the
+    test."""
+    from repro.core.gnntrans import GNNTrans
+
+    stacks = []
+    heads_stack = GNNTrans.heads_stack
+
+    def spy(model, nets, paths):
+        stacks.append(len(nets))
+        return heads_stack(model, nets, paths)
+
+    monkeypatch.setattr(GNNTrans, "heads_stack", spy)
+    return stacks

@@ -18,12 +18,14 @@ from repro.baselines import BASELINE_KINDS, GATLayer, make_baseline_factory
 from repro.core import (GNNTrans, GNNTransConfig, LearnedWireModel,
                         MultiHeadSelfAttention, WireTimingEstimator)
 from repro.core.estimator import _packed_mse
+from repro.core.gnntrans import PooledPaths
 from repro.data import generate_dataset
 from repro.design import BindRequest, generate_benchmark
 from repro.features import PATH_FEATURE_NAMES, NetContext, pack
 from repro.liberty import make_default_library
 from repro.nn import Tensor
 from repro.nn.init import xavier_uniform
+from repro.robustness.errors import InputError
 
 TINY = GNNTransConfig(l1=2, l2=1, hidden=16, num_heads=2, head_hidden=(16,),
                       epochs=2, learning_rate=5e-3)
@@ -215,6 +217,24 @@ def _at_slew(paths, scaled_slew):
     return out
 
 
+def _bind_requests():
+    """A bind request for each net on a WB_DMA path (scale 1500)."""
+    netlist = generate_benchmark("WB_DMA", make_default_library(),
+                                 scale=1500)
+    requests, seen = [], set()
+    for stage in (s for p in netlist.paths for s in p.stages):
+        if stage.net in seen:
+            continue
+        seen.add(stage.net)
+        net = netlist.nets[stage.net]
+        cell = netlist.gates[stage.gate].cell
+        requests.append(BindRequest(
+            net.rcnet, netlist.sink_loads(net), cell.drive_resistance,
+            NetContext(20e-12, cell, [netlist.gates[l.gate].cell
+                                      for l in net.loads])))
+    return requests
+
+
 class TestPackInvariantBinding:
     """Bindings are bitwise their pack of one, at every slew."""
 
@@ -256,19 +276,7 @@ class TestPackInvariantBinding:
     @pytest.mark.parametrize("which", ["fitted", "graphsage"])
     def test_learned_bind_many_equals_per_request_bind(self, request, which,
                                                        dataset):
-        netlist = generate_benchmark("WB_DMA", make_default_library(),
-                                     scale=1500)
-        requests, seen = [], set()
-        for stage in (s for p in netlist.paths for s in p.stages):
-            if stage.net in seen:
-                continue
-            seen.add(stage.net)
-            net = netlist.nets[stage.net]
-            cell = netlist.gates[stage.gate].cell
-            requests.append(BindRequest(
-                net.rcnet, netlist.sink_loads(net), cell.drive_resistance,
-                NetContext(20e-12, cell, [netlist.gates[l.gate].cell
-                                          for l in net.loads])))
+        requests = _bind_requests()
         sizes = [r.net.num_nodes for r in requests]
         assert len(set(sizes)) < len(sizes)  # some nets share a pack
         model = LearnedWireModel(request.getfixturevalue(which),
@@ -278,6 +286,47 @@ class TestPackInvariantBinding:
             for bind_args, binding in zip(requests, grouped):
                 for got, want in zip(binding(slew),
                                      model.bind(*bind_args)(slew)):
+                    np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("which", ["fitted", "graphsage"])
+    def test_learned_time_many_equals_each_binding_call(
+            self, request, which, dataset, heads_stacks):
+        """One ``time_many`` over nets of mixed path counts at distinct
+        slews equals each binding's own call bitwise: GNNTrans stacks
+        each path count's heads, GraphSage runs per-call forwards.  A
+        net whose sample cannot be built gets its build error back in
+        place, and a net degraded to label-prior changes no stack-mate."""
+        model = LearnedWireModel(request.getfixturevalue(which),
+                                 dataset.scaler)
+        requests = _bind_requests()
+        broken = requests[1]
+        requests[1] = broken._replace(context=replace(
+            broken.context, load_cells=list(broken.context.load_cells) * 2))
+        bindings = model.bind_many(requests)
+        forward = bindings[4].predictor.forward
+        if isinstance(forward, PooledPaths):  # NaN rows: NaN heads output
+            forward.pooled = Tensor(np.full(forward.pooled.shape, np.nan))
+        else:
+            bindings[4].predictor.forward = "degraded for the test"
+        calls = [(binding, slew) for binding, slew in zip(
+            bindings, np.geomspace(5e-12, 150e-12, len(bindings)))]
+        heads_stacks.clear()
+        results = model.time_many(calls)
+        if which == "fitted":
+            counts = {len(binding.paths) for binding in bindings
+                      if hasattr(binding, "paths")}
+            assert len(heads_stacks) == len(counts) < len(bindings) - 1
+        else:
+            assert heads_stacks == []
+        with pytest.raises(InputError) as excinfo:
+            bindings[1](calls[1][1])
+        assert results[1] is excinfo.value
+        assert results[4][2] == "label-prior"
+        assert [r[2] for i, r in enumerate(results) if i not in (1, 4)] \
+            == ["model"] * (len(results) - 2)
+        for i, (binding, slew) in enumerate(calls):
+            if i != 1:
+                for got, want in zip(results[i], binding(slew)):
                     np.testing.assert_array_equal(got, want)
 
     def test_raising_net_degrades_alone(self, fitted, same_size):

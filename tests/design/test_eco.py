@@ -415,12 +415,14 @@ def _random_edit(netlist, library, rng):
     return netlist.reconnect_sink(net_name, sink, str(rng.choice(pins)))
 
 
-def _random_script_parity(library, seed, wire_model, packs=None):
+def _random_script_parity(library, seed, wire_model, packs=None,
+                          stacks=None):
     """Apply 8 random edits through ECO; return the parity problems.
 
     ``packs``, an ``encoder_packs`` record, must show that the cold pass
-    bound some nets together, so the edits' single binds are compared
-    with grouped ones.
+    bound some nets together, and ``stacks``, a ``heads_stacks`` record,
+    that it ran some nets' heads together, so the edits' single binds and
+    small stacks are compared with grouped ones.
     """
     rng = np.random.default_rng(seed)
     netlist = generate_design(
@@ -429,6 +431,7 @@ def _random_script_parity(library, seed, wire_model, packs=None):
     engine = ECOTimingEngine(netlist, wire_model)
     engine.full_pass()
     assert packs is None or max(packs) >= 2, packs
+    assert stacks is None or max(stacks) >= 2, stacks
     applied = 0
     for _ in range(60):
         if applied == 8:
@@ -458,20 +461,23 @@ class TestParityContract:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_learned_random_edit_script_is_bitwise_identical(
-            self, library, learned, seed, encoder_packs):
+            self, library, learned, seed, encoder_packs, heads_stacks):
         """The learned model's per-net bindings are dropped with the
-        edited nets and rebound, alone or in small packs, so replay still
-        equals a cold pass, which binds nets in packs, bitwise."""
+        edited nets and rebound, alone or in small packs, and an edit's
+        cone runs its heads in small stacks, so replay still equals a
+        cold pass, which binds and stacks nets together, bitwise."""
         assert _random_script_parity(library, seed, learned,
-                                     encoder_packs) == []
+                                     encoder_packs, heads_stacks) == []
 
     def test_learned_fallback_chain_edits_are_bitwise_identical(
-            self, library, learned):
+            self, library, learned, heads_stacks):
         """The default ladder over an under-trained model serves some
         stages from the learned tier and the rest from AWE."""
         netlist = generate_benchmark("WB_DMA", library, scale=2000)
         engine = ECOTimingEngine(netlist, default_fallback_chain(learned))
+        heads_stacks.clear()
         engine.full_pass()
+        assert max(heads_stacks) >= 2, heads_stacks
         nets = sorted({s.net for p in netlist.paths for s in p.stages})
         rng = np.random.default_rng(3)
         for name in rng.choice(nets, size=10, replace=False):

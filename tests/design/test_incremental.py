@@ -91,11 +91,27 @@ class TestInvalidation:
         np.testing.assert_array_equal([p.arrival for p in after],
                                       [p.arrival for p in fresh])
 
+    def test_invalidation_is_a_net_lookup(self, design):
+        """The net index holds exactly the memo's keys, so invalidating a
+        net drops its entries without scanning the memo."""
+        engine = IncrementalSTAEngine(design, ElmoreWireModel())
+        engine.analyze_paths()
+        indexed = [key for net, keys in engine._stage_keys.items()
+                   for key in keys if key[0] == net]
+        assert sorted(indexed) == sorted(engine._cache)
+        net = design.paths[0].stages[1].net
+        expected = sum(1 for key in engine._cache if key[0] == net)
+        assert engine.invalidate_nets([net, net]) == expected > 0
+        assert net not in engine._stage_keys and net not in engine._nets
+        assert all(key[0] != net for key in engine._cache)
+        assert engine.invalidate_nets([net]) == 0
+
     def test_clear(self, design):
         engine = IncrementalSTAEngine(design, ElmoreWireModel())
         engine.analyze_paths()
         engine.clear()
         assert engine._cache == {}
+        assert engine._stage_keys == {} and engine._nets == {}
 
 
 class TestConcurrency:

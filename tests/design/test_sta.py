@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core import LearnedWireModel
 from repro.design import (D2MWireModel, DesignSpec, ElmoreWireModel,
-                          GoldenWireModel, STAEngine, compare_timing,
+                          GoldenWireModel, IncrementalSTAEngine, STAEngine,
+                          compare_timing, generate_benchmark,
                           generate_design)
-from repro.design.sta import resolve_arc_pin
+from repro.design.sta import WireTimingModel, resolve_arc_pin
+from repro.robustness import FallbackChain
 
 
 @pytest.fixture
@@ -161,13 +164,15 @@ class TestStageMemo:
                                       [p.arrival for p in alone])
 
     def test_learned_full_pass_bitwise_equals_paths_timed_alone(
-            self, design, learned, encoder_packs):
-        """The pass binds its nets in packs of one node count; each path
-        timed alone, from a fresh memo, binds one net at a time."""
+            self, design, learned, encoder_packs, heads_stacks):
+        """The pass binds its nets in packs of one node count and runs
+        its heads in stacks of one path count; each path timed alone,
+        from a fresh memo, binds and times one net at a time."""
         engine = STAEngine(design, learned)
         encoder_packs.clear()  # the fit's packs
         report = engine.analyze_design()
         assert max(encoder_packs) >= 2, encoder_packs
+        assert max(heads_stacks) >= 2, heads_stacks
         encoder_packs.clear()
         alone = [engine.path_arrival(path) for path in design.paths]
         assert set(encoder_packs) == {1}
@@ -191,3 +196,74 @@ class TestStageMemo:
         fresh = STAEngine(design, ElmoreWireModel()).analyze_design()
         assert compare_timing(after.paths, fresh.paths) == []
         assert not np.array_equal(after.arrivals(), before.arrivals())
+
+
+class _PerCall(WireTimingModel):
+    """A model's ``wire_timing`` alone: its default binding calls it, so
+    each call builds (and a learned model encodes) its net again."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def wire_timing(self, *args, **kwargs):
+        return self.model.wire_timing(*args, **kwargs)
+
+
+class TestLevelBatching:
+    """A cold learned pass times its paths level by level: the misses of
+    one level run the heads once per path count."""
+
+    @pytest.fixture(scope="class")
+    def wb_dma(self):
+        from repro.liberty import make_default_library
+
+        return generate_benchmark("WB_DMA", make_default_library(),
+                                  scale=2000)
+
+    def _level_path_counts(self, netlist):
+        """The (level, path count) pairs of the netlist's stages; a
+        learned sample has one wire path per sink."""
+        return {(level, netlist.nets[stage.net].rcnet.num_sinks)
+                for path in netlist.paths
+                for level, stage in enumerate(path.stages)}
+
+    def test_one_heads_stack_per_level_and_path_count(
+            self, wb_dma, learned, heads_stacks, monkeypatch):
+        bound = len(self._level_path_counts(wb_dma))
+        engine = IncrementalSTAEngine(wb_dma, learned)
+        heads_stacks.clear()
+        engine.analyze_paths()
+        assert sum(heads_stacks) == engine.misses
+        assert len(heads_stacks) <= bound < engine.misses
+        # The guard: heads run once per stage miss under a per-call map.
+        time_many = LearnedWireModel.time_many
+        monkeypatch.setattr(
+            LearnedWireModel, "time_many",
+            lambda model, calls: [result for call in calls
+                                  for result in time_many(model, [call])])
+        heads_stacks.clear()
+        IncrementalSTAEngine(wb_dma, learned).analyze_paths()
+        assert len(heads_stacks) == engine.misses > bound
+
+    def test_learned_chain_binds_once_and_equals_per_call_walks(
+            self, wb_dma, learned, encoder_packs, heads_stacks):
+        """The chain binds its learned tier through that tier's own
+        ``bind_many`` and times it through its ``time_many``: it encodes
+        the packs the bare model encodes, and every stage, tier included,
+        equals a ladder whose learned tier builds its net on each call."""
+        encoder_packs.clear()
+        STAEngine(wb_dma, learned).analyze_design()
+        bare_packs = list(encoder_packs)
+        encoder_packs.clear()
+        heads_stacks.clear()
+        chained = STAEngine(wb_dma, FallbackChain([learned])
+                            ).analyze_design()
+        assert encoder_packs == bare_packs
+        assert max(heads_stacks) >= 2, heads_stacks
+        encoder_packs.clear()
+        walked = STAEngine(wb_dma, FallbackChain(
+            [("LearnedWireModel", _PerCall(learned))])).analyze_design()
+        assert len(encoder_packs) > len(bare_packs)
+        assert compare_timing(chained.paths, walked.paths) == []
+        assert {s.tier for p in chained.paths for s in p.stages} == \
+            {"LearnedWireModel", "lumped-rc"}

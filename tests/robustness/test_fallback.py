@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.design import ElmoreWireModel
+from repro.design import BindRequest, ElmoreWireModel
 from repro.design.sta import WireTimingModel
 from repro.rcnet import chain_net
 from repro.robustness import (LAST_RESORT_TIER, EstimationError,
@@ -38,6 +38,31 @@ class _Stub(WireTimingModel):
             return np.zeros(net.num_sinks + 3), np.zeros(net.num_sinks + 3)
         return (np.full(net.num_sinks, self.delay),
                 np.full(net.num_sinks, self.slew))
+
+
+class _Batched(ElmoreWireModel):
+    """Elmore, recording each ``time_many`` batch; a negative delay on
+    the net named ``bad``."""
+
+    def __init__(self):
+        self.batches = []
+
+    def wire_timing(self, net, *args, **kwargs):
+        delays, slews = super().wire_timing(net, *args, **kwargs)
+        return (-delays if net.name == "bad" else delays), slews
+
+    def time_many(self, calls):
+        self.batches.append(len(calls))
+        return super().time_many(calls)
+
+
+class _BindRefuses(ElmoreWireModel):
+    """Elmore that cannot bind the net named ``bad``."""
+
+    def bind_many(self, requests):
+        if any(request.net.name == "bad" for request in requests):
+            raise RuntimeError("cannot bind bad")
+        return super().bind_many(requests)
 
 
 def serve(chain, n=1, net=None):
@@ -123,6 +148,47 @@ class TestDegradation:
             assert record.tier == LAST_RESORT_TIER
             assert np.all(np.isfinite(delays))
             assert np.all(slews > 0.0)
+
+    def test_first_tier_times_a_batch_in_one_call(self):
+        """The first tier's calls run in one ``time_many`` call; only the
+        calls it fails walk the lower tiers, one at a time."""
+        first = _Batched()
+        good = _Stub()
+        chain = FallbackChain([("first", first), ("good", good)])
+        nets = [chain_net(5), chain_net(6, name="bad"), chain_net(7)]
+        bindings = chain.bind_many([BindRequest(net, LOADS, 100.0)
+                                    for net in nets])
+        results = chain.time_many([(b, 20e-12) for b in bindings])
+        assert first.batches == [3]
+        assert [result[2] for result in results] == ["first", "good",
+                                                     "first"]
+        assert good.calls == 1
+        assert chain.stats["first"].served == 2
+        assert chain.stats["first"].failed == 1
+        np.testing.assert_array_equal(
+            results[2][0], first.wire_timing(nets[2], 20e-12, LOADS,
+                                             100.0)[0])
+
+    def test_failed_bind_starts_its_calls_at_the_next_tier(self):
+        """A net the first tier cannot bind is bound by no one: each of
+        its calls records the bind's failure and walks the lower tiers;
+        the other nets are bound alone and served as usual."""
+        chain = FallbackChain([("first", _BindRefuses()), ("good", _Stub())])
+        nets = [chain_net(5), chain_net(6, name="bad")]
+        bindings = chain.bind_many([BindRequest(net, LOADS, 100.0)
+                                    for net in nets])
+        results = chain.time_many([(b, 20e-12) for b in bindings * 2])
+        assert [result[2] for result in results] == ["first", "good"] * 2
+        assert chain.stats["first"].failed == 2
+
+    def test_no_last_resort_returns_the_error_in_place(self):
+        chain = FallbackChain([("bad", _Stub("raise"))], last_resort=False)
+        (binding,) = chain.bind_many([BindRequest(chain_net(5), LOADS,
+                                                  100.0)])
+        (result,) = chain.time_many([(binding, 20e-12)])
+        assert isinstance(result, EstimationError)
+        with pytest.raises(EstimationError, match="every tier failed"):
+            binding(20e-12)
 
     def test_no_last_resort_raises_when_all_fail(self):
         chain = FallbackChain([("bad", _Stub("raise"))], last_resort=False)
