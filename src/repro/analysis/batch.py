@@ -26,17 +26,12 @@ cache and test surface unnoticed:
 
 * ``numpy.linalg.eigh``/``solve`` on a ``(k, n, n)`` stack loop LAPACK
   over the leading axis — slice ``i`` equals the single-matrix call, so a
-  scalar solve is literally a batch of one (groups are *exact-size* by
-  default; no padding, no mixed arithmetic);
+  scalar solve is literally a batch of one (groups are *exact-size*; no
+  padding, no mixed arithmetic);
 * the crossing search shares :func:`repro.analysis.simulator.lockstep_crossings`
   and :func:`repro.analysis.awe._first_crossings_masked`, whose per-pair
   freeze masks make every answer independent of what else shares the
   batch.
-
-The opt-in ``bucket="pow2"`` mode pads groups up to the next power of two
-(fewer, fuller stacks; ``batch.padding_waste`` counts the dead slots) —
-padding changes LAPACK's arithmetic, so it is *near*-identical only and
-never used on golden-label paths.  See ``docs/PERFORMANCE.md``.
 
 Units: resistances ohm, capacitances farad, all times seconds.
 """
@@ -72,7 +67,6 @@ __all__ = ["SolveRequest", "BatchedEigenEngine", "GoldenNetJob",
 # per-size latency histograms are named ``batch.bucket_seconds.<n>``).
 _GROUPS = get_metrics().counter("batch.groups")
 _OCCUPANCY = get_metrics().histogram("batch.occupancy")
-_PAD_WASTE = get_metrics().counter("batch.padding_waste")
 _SCALAR_FALLBACKS = get_metrics().counter("batch.scalar_fallbacks")
 _NETS_SOLVED = get_metrics().counter("batch.nets_solved")
 _AWE_PRIMED = get_metrics().counter("batch.awe_primed")
@@ -113,29 +107,17 @@ class BatchedEigenEngine:
     ill-conditioned operators that need the cap-floor escalation ladder,
     or a LAPACK failure anywhere in the stack — falls back to the scalar
     :func:`~repro.analysis.simulator.eigendecompose`, counted by
-    ``batch.scalar_fallbacks``.
+    ``batch.scalar_fallbacks``.  Groups are by exact matrix size, so every
+    result is bitwise equal to the scalar path.
 
     Parameters
     ----------
-    bucket:
-        ``"exact"`` (default) groups by exact matrix size — bitwise equal
-        to the scalar path.  ``"pow2"`` pads every net up to the next
-        power of two so more nets share a stack; the padding block is
-        diagonal with a Gershgorin upper bound of the true operator, which
-        keeps the padded eigenvalues out of the real spectrum, but LAPACK
-        arithmetic on the padded matrix differs — results are close, not
-        bitwise, and golden-label consumers must not use it.
     cache:
         Explicit :class:`SolveCache` (defaults to the process-wide one at
         each call, so ``configure_solve_cache`` keeps working).
     """
 
-    def __init__(self, bucket: str = "exact",
-                 cache: Optional[SolveCache] = None) -> None:
-        if bucket not in ("exact", "pow2"):
-            raise ValueError(f"unknown bucket mode {bucket!r} "
-                             f"(one of: exact, pow2)")
-        self.bucket = bucket
+    def __init__(self, cache: Optional[SolveCache] = None) -> None:
         self._cache = cache
 
     # ------------------------------------------------------------------
@@ -143,8 +125,8 @@ class BatchedEigenEngine:
                    ) -> List[Union[EigenSolve, EstimationError]]:
         """Eigendecompose every request; one result-or-typed-error each.
 
-        Cache hits are answered first; the misses are grouped by (padded)
-        size and solved through one stacked ``eigh`` per group, then
+        Cache hits are answered first; the misses are grouped by size and
+        solved through one stacked ``eigh`` per group, then
         fanned out into individual cache entries.  Duplicate keys inside
         one batch are computed once — the repeats resolve through the
         cache afterwards, exactly as repeated scalar calls would.
@@ -180,10 +162,7 @@ class BatchedEigenEngine:
 
         groups: Dict[int, List[Tuple[int, SolveRequest, Optional[bytes]]]] = {}
         for entry in pending:
-            size = entry[1].net.num_nodes
-            if self.bucket == "pow2":
-                size = 1 << max(size - 1, 0).bit_length()
-            groups.setdefault(size, []).append(entry)
+            groups.setdefault(entry[1].net.num_nodes, []).append(entry)
         for size in sorted(groups):
             members = groups[size]
             _GROUPS.inc()
@@ -211,7 +190,7 @@ class BatchedEigenEngine:
                      results: List[Optional[Union[EigenSolve,
                                                   EstimationError]]],
                      cache: SolveCache) -> None:
-        """Stacked eigh over one same-(padded-)size group, with fan-out."""
+        """Stacked eigh over one same-size group, with fan-out."""
         stack = np.zeros((len(members), size, size), dtype=np.float64)
         prepared: List[Optional[Tuple[int, SolveRequest, Optional[bytes],
                                       np.ndarray, np.ndarray]]] = []
@@ -229,17 +208,7 @@ class BatchedEigenEngine:
             floored = np.maximum(request.caps, _MIN_CAP)
             inv_sqrt_c = 1.0 / np.sqrt(floored)
             m = (inv_sqrt_c[:, None] * g) * inv_sqrt_c[None, :]
-            m = 0.5 * (m + m.T)  # enforce exact symmetry before eigh
-            n = net.num_nodes
-            stack[slot, :n, :n] = m
-            if n < size:
-                # Pad block: diagonal above the Gershgorin bound of the
-                # real operator, so the artificial eigenvalues sort last
-                # and the leading n rows/columns stay the net's own modes.
-                bound = float(np.abs(m).sum(axis=1).max())
-                pad = np.arange(n, size)
-                stack[slot, pad, pad] = 2.0 * bound + 1.0
-                _PAD_WASTE.inc(size - n)
+            stack[slot] = 0.5 * (m + m.T)  # exact symmetry before eigh
             prepared.append((index, request, key, floored, inv_sqrt_c))
 
         solved = [entry for entry in prepared if entry is not None]
@@ -261,13 +230,12 @@ class BatchedEigenEngine:
             return
         for row, (index, request, key, floored, inv_sqrt_c) in \
                 enumerate(solved):
-            n = request.net.num_nodes
-            w = eigenvalues[row, :n]
+            w = eigenvalues[row]
             if symmetric_condition(w) <= _MAX_CONDITION:
                 solve = EigenSolve(floored, inv_sqrt_c, w.copy(),
-                                   vectors[row, :n, :n].copy())
+                                   vectors[row].copy())
                 _DECOMPOSITIONS.inc()
-                _MATRIX_SIZE.observe(n)
+                _MATRIX_SIZE.observe(request.net.num_nodes)
                 _NETS_SOLVED.inc()
                 results[index] = solve
                 if key is not None:

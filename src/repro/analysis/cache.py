@@ -58,8 +58,7 @@ DEFAULT_CACHE_SIZE = 512
 
 #: Version tag written into every persisted solve file; bump whenever the
 #: :class:`~repro.analysis.simulator.EigenSolve` layout (or the meaning of
-#: :func:`solve_key`) changes, so stale files self-invalidate on load —
-#: the same idiom as the lint summary cache's ``ANALYSIS_VERSION``.
+#: :func:`solve_key`) changes, so stale files self-invalidate on load.
 PERSIST_SCHEMA = "repro-solve-cache/1"
 
 _HITS = get_metrics().counter("simulator.cache_hits")

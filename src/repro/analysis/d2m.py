@@ -7,6 +7,8 @@ mixing the first two moments:
 
 where ``m1``/``m2`` are the (unsigned) first and second moments of the node
 transfer function.  It is one of the raw path features of Table I.
+``sink_loads`` arguments are ``(num_sinks,)`` farads, aligned with
+``net.sinks``; delays come back as one ``(num_nodes,)`` vector.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ def d2m_from_moments(m: np.ndarray) -> np.ndarray:
     moments (unified feature extraction, the batched engine) skip the
     redundant solves that :func:`d2m_delays` would repeat.
     """
-    # repro-shape: -> (n,):f64
     m1 = -m[0]          # Elmore delay (positive).
     m2 = m[1]           # Second moment (positive for RC nets).
     out = np.zeros_like(m1)
@@ -49,7 +50,6 @@ def d2m_delays(net: RCNet, miller_factor: Optional[float] = None,
     through numerical noise on near-zero-delay nodes) the metric falls back
     to the Elmore delay.
     """
-    # repro-shape: sink_loads=(s,):f64 -> (n,):f64
     m = cached_moments(net, order=2, miller_factor=miller_factor,
                        sink_loads=sink_loads)
     return d2m_from_moments(m)

@@ -10,6 +10,9 @@ Two flavours are provided:
   quantities of Table I ("downstream cap" and "stage delay"), computed on
   the shortest-path spanning tree so they are well-defined on non-tree nets
   exactly as the paper's feature extraction requires.
+
+``sink_loads`` arguments are ``(num_sinks,)`` farads, aligned with
+``net.sinks``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ def elmore_delays(net: RCNet, miller_factor: Optional[float] = None,
     ``k`` in seconds.  The returned vector is indexed by *original* node
     index, with 0 at the source.
     """
-    # repro-shape: sink_loads=(s,):f64 -> (n,):f64
     system = reduce_source(net, miller_factor, sink_loads)
     x = np.linalg.solve(system.g, system.caps)
     delays = np.zeros(net.num_nodes, dtype=np.float64)
@@ -59,7 +61,6 @@ def downstream_caps(net: RCNet,
     minimum-resistance spanning tree rooted at the source — consistent with
     the paper's shortest-path definition of wire paths.
     """
-    # repro-shape: sink_loads=(s,):f64 -> (n,):f64
     _, parent, _ = shortest_path_tree(net)
     caps = capacitance_vector(net, miller_factor=None, sink_loads=sink_loads)
     downstream = caps.copy()
@@ -75,7 +76,7 @@ def downstream_caps(net: RCNet,
 def stage_delays(net: RCNet, path: WirePath,
                  sink_loads: Optional[np.ndarray] = None,
                  downstream: Optional[np.ndarray] = None) -> np.ndarray:
-    """Elmore stage delay of each stage along ``path``, in seconds.
+    """Elmore stage delay of each stage (edge) along ``path``, in seconds.
 
     A stage is an edge plus its downstream node (Section II-B); its delay is
     the edge resistance times the capacitance downstream of the edge's far
@@ -86,7 +87,6 @@ def stage_delays(net: RCNet, path: WirePath,
     :func:`downstream_caps` vector — callers iterating many paths of one
     net (feature extraction) hoist the spanning-tree walk out of the loop.
     """
-    # repro-shape: sink_loads=(s,):f64 -> (e,):f64
     if downstream is None:
         downstream = downstream_caps(net, sink_loads)
     delays = np.empty(len(path.edges), dtype=np.float64)

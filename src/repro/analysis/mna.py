@@ -44,7 +44,6 @@ def conductance_matrix(net: RCNet) -> np.ndarray:
     non-positive) resistance values, which would otherwise poison every
     downstream engine silently.
     """
-    # repro-shape: -> (n, n):f64
     _ASSEMBLIES.inc()
     n = net.num_nodes
     g = np.zeros((n, n), dtype=np.float64)
@@ -63,7 +62,7 @@ def conductance_matrix(net: RCNet) -> np.ndarray:
 
 def capacitance_vector(net: RCNet, miller_factor: Optional[float] = None,
                        sink_loads: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-node total capacitance to ground, in farads.
+    """Per-node total capacitance to ground: ``(n,)`` farads.
 
     Parameters
     ----------
@@ -75,13 +74,12 @@ def capacitance_vector(net: RCNet, miller_factor: Optional[float] = None,
         — the standard Miller approximation of a switching aggressor used by
         sign-off SI analysis.
     sink_loads:
-        Optional extra load capacitance per sink (e.g. receiver pin caps),
-        aligned with ``net.sinks``.
+        Optional ``(num_sinks,)`` extra load capacitance per sink (e.g.
+        receiver pin caps), aligned with ``net.sinks``.
 
     The quiet vector (``miller_factor=None``, no sink loads) is built once
     per net and memoized on it; each call adds its sink loads to a copy.
     """
-    # repro-shape: sink_loads=(s,):f64 -> (n,):f64
     if miller_factor is None:
         caps = _quiet_caps(net).copy()
     else:
@@ -185,7 +183,7 @@ def reduce_source(net: RCNet, miller_factor: Optional[float] = None,
 def transfer_resistance_matrix(system: ReducedSystem,
                                max_condition: float = MAX_CONDITION
                                ) -> np.ndarray:
-    """Dense inverse of the reduced conductance matrix.
+    """Dense ``(m, m)`` inverse of the reduced conductance matrix.
 
     Entry ``(i, j)`` is the voltage at node ``i`` per unit current injected
     at node ``j`` with the source grounded — the *transfer resistance* that
@@ -197,7 +195,6 @@ def transfer_resistance_matrix(system: ReducedSystem,
     :class:`~repro.robustness.errors.NumericalError` instead of returning
     garbage.
     """
-    # repro-shape: -> (m, m):f64
     _INVERSIONS.inc()
     _SOLVE_SIZE.observe(system.g.shape[0])
     check_conditioning(system.g, what="reduced conductance matrix",

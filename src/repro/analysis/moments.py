@@ -10,7 +10,8 @@ negated Elmore delay; the second feeds the D2M metric (Table I's "D2M
 delay" feature).
 
 Units: ``G`` entries are siemens (1/ohm), ``C`` entries are farads, so the
-``i``-th moment vector carries seconds^i.
+``i``-th moment vector carries seconds^i.  ``sink_loads`` arguments are
+``(num_sinks,)`` farads, aligned with ``net.sinks``.
 
 The solves run through ``numpy.linalg.solve`` — the same gufunc the batched
 engine (:mod:`repro.analysis.batch`) applies to size-grouped stacks of
@@ -43,7 +44,6 @@ def moments(net: RCNet, order: int = 2, miller_factor: Optional[float] = None,
     ``result[0]`` is the (signed, negative) first moment, so the Elmore
     delay of node ``k`` is ``-result[0, k]``.
     """
-    # repro-shape: sink_loads=(s,):f64 -> (k, n):f64
     if order < 1:
         raise InputError(f"order must be >= 1, got {order}",
                          net=net.name, stage="moments")
@@ -67,7 +67,6 @@ def cached_moments(net: RCNet, order: int = 2,
     bitwise equal to the uncached path.  A disabled cache degrades to a
     plain :func:`moments` call.
     """
-    # repro-shape: sink_loads=(s,):f64 -> (k, n):f64
     from .cache import get_solve_cache, solve_key
     from .mna import capacitance_vector
 
@@ -112,7 +111,6 @@ def stacked_moments(g_stack: np.ndarray, caps_stack: np.ndarray,
     ``reduced_moments`` on system ``i`` alone — the invariant the
     batched-vs-scalar property tests pin down.
     """
-    # repro-shape: g_stack=(k, n, n):f64 caps_stack=(k, n):f64 -> (k, o, n):f64
     count, n = caps_stack.shape
     current = np.ones((count, n), dtype=np.float64)
     out = np.empty((count, order, n), dtype=np.float64)

@@ -21,9 +21,8 @@ slews are exact for the modelled circuit — a true golden reference, free of
 integration error.
 
 Units: resistances are ohms, capacitances farads, voltages volts, and every
-time quantity (input slew, ramp time, horizon, delays, slews) is seconds —
-matching the ``lint-units.json`` vocabulary.  Eigenvalues of the
-symmetrized operator are 1/seconds.
+time quantity (input slew, ramp time, horizon, delays, slews) is seconds.
+Eigenvalues of the symmetrized operator are 1/seconds.
 
 The crossing search is shared with the batched engine
 (:mod:`repro.analysis.batch`): :meth:`TransientSolution.bracket_crossings`

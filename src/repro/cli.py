@@ -212,26 +212,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ignore", default=None,
                    help="comma-separated rule names to skip")
     p.add_argument("--format", choices=["text", "json"], default="text",
-                   dest="fmt", help="report format (json is repro-lint/5)")
+                   dest="fmt", help="report format (json is repro-lint/6)")
     p.add_argument("--baseline", default=None,
                    help="baseline file of grandfathered findings (default: "
                         "lint-baseline.json when it exists)")
     p.add_argument("--deep", action="store_true",
-                   help="run the whole-program analysis tier (FLOW/SHAPE/"
-                        "UNIT packs) with the incremental summary cache")
+                   help="run the whole-program analysis tier (FLOW pack)")
     p.add_argument("--concurrency", action="store_true",
                    help="also run the CONC pack (lock-order, guarded-by, "
                         "thread-escape); implies --deep")
-    p.add_argument("--changed", action="store_true",
-                   help="lint only files changed vs the git merge base "
-                        "(fast path for PR builds)")
     p.add_argument("--exclude", action="append", default=[],
                    metavar="GLOB",
                    help="glob of files to skip (repeatable; merged with "
                         "[tool.repro-lint] exclude)")
-    p.add_argument("--cache", default=None, metavar="PATH",
-                   help="deep-tier cache file (default: "
-                        ".repro-lint-cache.json; 'off' disables)")
     p.add_argument("--write-baseline", action="store_true",
                    help="write the current findings to the baseline file "
                         "and exit 0")
@@ -591,65 +584,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return run_server(config, learned=learned)
 
 
-def _git_changed_files() -> Optional[List[str]]:
-    """Changed files vs the merge base (plus the working tree), or ``None``.
-
-    ``None`` means git could not answer (not a checkout, no HEAD, ...);
-    the caller falls back to a full run rather than guessing.
-    """
-    import subprocess
-
-    def _run(cmd: List[str]) -> Optional[List[str]]:
-        try:
-            proc = subprocess.run(cmd, capture_output=True, text=True,
-                                  timeout=30)
-        except (OSError, subprocess.SubprocessError):
-            return None
-        if proc.returncode != 0:
-            return None
-        return [line.strip() for line in proc.stdout.splitlines()
-                if line.strip()]
-
-    names = _run(["git", "diff", "--name-only", "HEAD"])
-    if names is None:
-        return None
-    changed = set(names)
-    for ref in ("origin/main", "main", "master"):
-        base = _run(["git", "merge-base", "HEAD", ref])
-        if not base:
-            continue
-        against = _run(["git", "diff", "--name-only", f"{base[0]}..HEAD"])
-        if against is not None:
-            changed.update(against)
-        break
-    return sorted(changed)
-
-
-def _restrict_to_changed(paths: List[str],
-                         changed: List[str]) -> List[str]:
-    """Changed ``.py`` files that live under one of the requested paths."""
-    import os.path
-
-    roots = [os.path.normpath(p) for p in paths]
-    kept: List[str] = []
-    for name in changed:
-        if not name.endswith(".py") or not os.path.isfile(name):
-            continue
-        normal = os.path.normpath(name)
-        for root in roots:
-            if root == os.curdir or normal == root \
-                    or normal.startswith(root + os.sep):
-                kept.append(name)
-                break
-    return kept
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from .lint import (DEFAULT_BASELINE, BaselineError, ConfigError,
-                       DeclarationError, DeepAnalyzer, LintRunner,
-                       default_config, default_rules, load_baseline,
-                       render_json, render_text, rule_catalogue,
-                       write_baseline)
+                       DeepAnalyzer, LintRunner, default_config,
+                       default_rules, load_baseline, render_json,
+                       render_text, rule_catalogue, write_baseline)
     from .lint.concurrency import CONC_RULE_CATALOGUE, CONC_RULE_NAMES
     from .lint.deep import DEEP_RULE_CATALOGUE, DEEP_RULE_NAMES
 
@@ -681,44 +620,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 2
     deep = None
     if args.deep or args.concurrency:
-        conc = bool(args.concurrency)
-        try:
-            if args.cache == "off":
-                deep = DeepAnalyzer(config=config, cache_path=None,
-                                    concurrency=conc)
-            elif args.cache:
-                deep = DeepAnalyzer(config=config, cache_path=args.cache,
-                                    concurrency=conc)
-            else:
-                deep = DeepAnalyzer(config=config, concurrency=conc)
-        except DeclarationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    paths = list(args.paths)
-    changed_mode = False
-    if args.changed:
-        changed = _git_changed_files()
-        if changed is None:
-            print("warning: --changed needs a git checkout; "
-                  "linting everything", file=sys.stderr)
-        else:
-            paths = _restrict_to_changed(paths, changed)
-            changed_mode = True
-            if not paths:
-                print("clean: no changed python files under the "
-                      "requested paths")
-                return 0
+        deep = DeepAnalyzer(concurrency=bool(args.concurrency))
     baseline_path = args.baseline or DEFAULT_BASELINE
     try:
         baseline = [] if args.write_baseline else load_baseline(baseline_path)
     except BaselineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = runner.run(paths, baseline=baseline, deep=deep)
-    if changed_mode:
-        # A restricted file set cannot see most baselined findings, so
-        # "stale entry" would be a false alarm here.
-        result.stale_baseline = []
+    result = runner.run(list(args.paths), baseline=baseline, deep=deep)
     if args.write_baseline:
         write_baseline(baseline_path, result.findings)
         print(f"wrote {len(result.findings)} finding(s) to {baseline_path}; "

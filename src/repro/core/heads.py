@@ -42,7 +42,6 @@ class TimingHeads(Module):
     def forward(self, path_representations: Tensor) -> Tuple[Tensor, Tensor]:
         """Return ``(slew, delay)``, each shaped like the input minus its
         last axis: (B, P) for a pack's (B, P, d) representations."""
-        # repro-shape: path_representations=(b, p, d):f64
         slew = self.slew_mlp(path_representations)                # Eq. (5)
         if self.condition_delay_on_slew:
             delay_input = concat([path_representations, slew], axis=-1)

@@ -44,11 +44,9 @@ def resolve_arc_pin(cell: Cell, input_pin: str, *, net: Optional[str] = None,
     """Resolve a path stage's input pin to one of ``cell``'s timing arcs.
 
     Strict mode (``lenient=False``) raises a typed :class:`InputError`
-    with net/design provenance when the pin has no arc — consistent with
-    the FLOW004 lint rule, which flags exactly this silent substitution.
-    Lenient mode preserves the legacy behavior of timing the stage
-    through the cell's first arc, for netlists produced before arc pins
-    were validated.
+    with net/design provenance when the pin has no arc.  Lenient mode
+    preserves the legacy behavior of timing the stage through the cell's
+    first arc, for netlists produced before arc pins were validated.
     """
     if input_pin in cell.arcs:
         return input_pin

@@ -53,7 +53,6 @@ def extract_node_features(net: RCNet) -> np.ndarray:
 
     Rows follow node indices; see the module docstring for columns.
     """
-    # repro-shape: -> (n, 8):f64
     caps = capacitance_vector(net)  # grounded + quiet coupling caps
     dist, _, _ = shortest_path_tree(net)
     features = np.zeros((net.num_nodes, NUM_NODE_FEATURES), dtype=np.float64)

@@ -172,7 +172,6 @@ def extract_path_features(net: RCNet, paths: Sequence[WirePath],
     :func:`analyze_nets_for_features`; when omitted they are computed here,
     bitwise identically.
     """
-    # repro-shape: -> (p, 10):f64
     if len(context.load_cells) != net.num_sinks:
         raise InputError(
             f"context has {len(context.load_cells)} load cells for "

@@ -24,7 +24,7 @@ from ..analysis.simulator import GoldenTimer, WireTimingResult
 from ..obs import get_metrics, get_tracer
 from ..rcnet.graph import RCNet
 from ..rcnet.paths import WirePath, extract_wire_paths
-from .node_features import NUM_NODE_FEATURES, extract_node_features
+from .node_features import extract_node_features
 from .path_features import (NUM_PATH_FEATURES, NetAnalysis, NetContext,
                             extract_path_features)
 
@@ -172,12 +172,11 @@ def pack(samples: Sequence[NetSample],
 
 def build_adjacency(net: RCNet,
                     scale: float = ADJACENCY_RESISTANCE_SCALE) -> np.ndarray:
-    """Resistance-weighted adjacency matrix of Section III-B, rescaled.
+    """Resistance-weighted ``(n, n)`` adjacency of Section III-B, rescaled.
 
     Entries are resistance values divided by ``scale`` so typical weights
     are O(1); zero means "no direct resistance".
     """
-    # repro-shape: -> (n, n):f64
     return net.weighted_adjacency() / scale
 
 
@@ -321,7 +320,7 @@ class FeatureScaler:
 
 
 def _safe_std(matrix: np.ndarray) -> np.ndarray:
-    # repro-shape: matrix=(n, f):f64 -> (f,):f64
+    """``(f,)`` column deviations of an ``(n, f)`` matrix, zeros as 1."""
     std = matrix.std(axis=0)
     std[std < 1e-12] = 1.0
     return std

@@ -1,11 +1,11 @@
 """The ``--concurrency`` tier: lock model, guarded-by, thread escape.
 
-The serving stack (PRs 6-8) made the process genuinely concurrent, and the
-sequential deep packs (FLOW/SHAPE/UNIT) cannot see the failure modes that
-matter there: inconsistent lock acquisition orders, shared mutable state
-touched off-lock, and module state captured by worker threads.  This pass
-adds a fourth pack (CONC) with three analyses over the same module set the
-deep tier reads:
+The serving stack made the process genuinely concurrent, and the
+sequential FLOW pack cannot see the failure modes that matter there:
+inconsistent lock acquisition orders, shared mutable state touched
+off-lock, and module state captured by worker threads.  This pass adds
+the CONC pack with three analyses over the same module set the deep
+tier reads:
 
 * **Lock model + lock-order graph** — ``threading.Lock/RLock/Condition``
   (and :func:`repro.obs.lockwatch.named_lock`) attributes and module
@@ -37,14 +37,13 @@ deep tier reads:
   module name, a mutating method on a mutable global) on such a path
   without *any* lock held is flagged.
 
-The pass is deliberately **uncached**: LOCK001 is a whole-program property
-of the current input set, so findings are recomputed from fresh ASTs each
-run (module summaries still come from the deep tier's cache).  Soundness
-limits, documented in docs/LINTING.md: lock identity is per *class
-attribute*, not per instance; ``with``-based regions are tracked lexically
-(explicit ``acquire()`` counts as an acquisition event for ordering, but
-does not open a region); reads of module globals are not flagged, only
-writes.
+LOCK001 is a whole-program property of the current input set, so every
+run extracts each module's lock model from its AST and checks the whole
+set.  Soundness limits, documented in docs/LINTING.md: lock identity is
+per *class attribute*, not per instance; ``with``-based regions are
+tracked lexically (explicit ``acquire()`` counts as an acquisition event
+for ordering, but does not open a region); reads of module globals are
+not flagged, only writes.
 """
 
 from __future__ import annotations
@@ -55,19 +54,13 @@ from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
                     Set, Tuple)
 
-from .deep import DeepRuleInfo
-from .engine import Finding, SEVERITY_ERROR, SEVERITY_WARNING
+from .deep import DeepRuleInfo, ModuleParse, parse_modules
+from .engine import Finding, SEVERITY_ERROR, SEVERITY_WARNING, python_files
 from .symbols import ModuleSummary, SymbolTable, canonical_name, dotted_name
 
-__all__ = ["CONC_PACK_VERSION", "CONC_RULE_CATALOGUE", "CONC_RULE_NAMES",
-           "LockGraph", "ModuleConcurrency", "build_lock_graph",
-           "dump_lock_graph", "extract_module_concurrency",
-           "run_concurrency", "run_concurrency_models"]
-
-#: Bump when extraction or any CONC rule's semantics change; feeds the
-#: incremental-cache fingerprint so persisted lock models self-invalidate.
-#: v2: process-pool map calls are no longer a spawn kind.
-CONC_PACK_VERSION = "repro-lint-conc/2"
+__all__ = ["CONC_RULE_CATALOGUE", "CONC_RULE_NAMES", "LockGraph",
+           "ModuleConcurrency", "build_lock_graph", "dump_lock_graph",
+           "extract_module_concurrency", "run_concurrency"]
 
 #: Trailing-comment grammar declaring an attribute's guard.  A bare name
 #: is a lock attribute of the same class (checked); a dotted name is an
@@ -117,17 +110,6 @@ class LockDecl:
     line: int
     alias_of: Optional[str] = None  # Condition(self.x) aliases node of x
 
-    def as_dict(self) -> Dict[str, object]:
-        return {"node": self.node, "kind": self.kind, "line": self.line,
-                "alias_of": self.alias_of}
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, object]) -> "LockDecl":
-        alias = raw.get("alias_of")
-        return cls(node=str(raw["node"]), kind=str(raw["kind"]),
-                   line=int(raw["line"]),  # type: ignore[arg-type]
-                   alias_of=None if alias is None else str(alias))
-
 
 @dataclass
 class AttrAccess:
@@ -139,18 +121,6 @@ class AttrAccess:
     col: int
     write: bool
     locks: FrozenSet[str]
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"attr": self.attr, "method": self.method, "line": self.line,
-                "col": self.col, "write": self.write,
-                "locks": sorted(self.locks)}
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, object]) -> "AttrAccess":
-        return cls(attr=str(raw["attr"]), method=str(raw["method"]),
-                   line=int(raw["line"]), col=int(raw["col"]),  # type: ignore[arg-type]
-                   write=bool(raw["write"]),
-                   locks=frozenset(_str_list(raw.get("locks"))))
 
 
 @dataclass
@@ -172,39 +142,6 @@ class ClassModel:
     def lock_nodes(self) -> Set[str]:
         return {decl.alias_of or decl.node for decl in self.locks.values()}
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name, "module": self.module, "line": self.line,
-            "locks": {k: v.as_dict() for k, v in sorted(self.locks.items())},
-            "guarded_by": dict(sorted(self.guarded_by.items())),
-            "external_guards": dict(sorted(self.external_guards.items())),
-            "mutable_attrs": dict(sorted(self.mutable_attrs.items())),
-            "attr_types": dict(sorted(self.attr_types.items())),
-            "injected_attrs": sorted(self.injected_attrs),
-            "methods": sorted(self.methods),
-            "accesses": [a.as_dict() for a in self.accesses],
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, object]) -> "ClassModel":
-        return cls(
-            name=str(raw["name"]), module=str(raw["module"]),
-            line=int(raw["line"]),  # type: ignore[arg-type]
-            locks={str(k): LockDecl.from_dict(v)
-                   for k, v in _dict_items(raw.get("locks"))},
-            guarded_by={str(k): str(v)
-                        for k, v in _dict_items(raw.get("guarded_by"))},
-            external_guards={str(k): str(v) for k, v
-                             in _dict_items(raw.get("external_guards"))},
-            mutable_attrs={str(k): int(v) for k, v  # type: ignore[arg-type]
-                           in _dict_items(raw.get("mutable_attrs"))},
-            attr_types={str(k): str(v)
-                        for k, v in _dict_items(raw.get("attr_types"))},
-            injected_attrs=set(_str_list(raw.get("injected_attrs"))),
-            methods=set(_str_list(raw.get("methods"))),
-            accesses=[AttrAccess.from_dict(a)
-                      for a in _list_items(raw.get("accesses"))])
-
 
 @dataclass
 class CallUnderLocks:
@@ -214,16 +151,6 @@ class CallUnderLocks:
     line: int
     col: int
     locks: FrozenSet[str]
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"written": self.written, "line": self.line, "col": self.col,
-                "locks": sorted(self.locks)}
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, object]) -> "CallUnderLocks":
-        return cls(written=str(raw["written"]), line=int(raw["line"]),  # type: ignore[arg-type]
-                   col=int(raw["col"]),  # type: ignore[arg-type]
-                   locks=frozenset(_str_list(raw.get("locks"))))
 
 
 @dataclass
@@ -235,16 +162,6 @@ class AcquireEvent:
     col: int
     held: FrozenSet[str]
 
-    def as_dict(self) -> Dict[str, object]:
-        return {"node": self.node, "line": self.line, "col": self.col,
-                "held": sorted(self.held)}
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, object]) -> "AcquireEvent":
-        return cls(node=str(raw["node"]), line=int(raw["line"]),  # type: ignore[arg-type]
-                   col=int(raw["col"]),  # type: ignore[arg-type]
-                   held=frozenset(_str_list(raw.get("held"))))
-
 
 @dataclass
 class GlobalWrite:
@@ -254,16 +171,6 @@ class GlobalWrite:
     line: int
     col: int
     locks: FrozenSet[str]
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"target": self.target, "line": self.line, "col": self.col,
-                "locks": sorted(self.locks)}
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, object]) -> "GlobalWrite":
-        return cls(target=str(raw["target"]), line=int(raw["line"]),  # type: ignore[arg-type]
-                   col=int(raw["col"]),  # type: ignore[arg-type]
-                   locks=frozenset(_str_list(raw.get("locks"))))
 
 
 @dataclass
@@ -275,17 +182,6 @@ class SpawnSite:
     function: str        # qualname of the spawning function
     line: int
     col: int
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"kind": self.kind, "target": self.target,
-                "function": self.function, "line": self.line,
-                "col": self.col}
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, object]) -> "SpawnSite":
-        return cls(kind=str(raw["kind"]), target=str(raw["target"]),
-                   function=str(raw["function"]),
-                   line=int(raw["line"]), col=int(raw["col"]))  # type: ignore[arg-type]
 
 
 @dataclass
@@ -302,33 +198,6 @@ class FunctionModel:
     global_writes: List[GlobalWrite] = field(default_factory=list)
     local_types: Dict[str, str] = field(default_factory=dict)
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "qualname": self.qualname, "module": self.module,
-            "line": self.line, "cls": self.cls, "params": list(self.params),
-            "acquires": [a.as_dict() for a in self.acquires],
-            "calls": [c.as_dict() for c in self.calls],
-            "global_writes": [w.as_dict() for w in self.global_writes],
-            "local_types": dict(sorted(self.local_types.items())),
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, object]) -> "FunctionModel":
-        class_name = raw.get("cls")
-        return cls(
-            qualname=str(raw["qualname"]), module=str(raw["module"]),
-            line=int(raw["line"]),  # type: ignore[arg-type]
-            cls=None if class_name is None else str(class_name),
-            params=_str_list(raw.get("params")),
-            acquires=[AcquireEvent.from_dict(a)
-                      for a in _list_items(raw.get("acquires"))],
-            calls=[CallUnderLocks.from_dict(c)
-                   for c in _list_items(raw.get("calls"))],
-            global_writes=[GlobalWrite.from_dict(w)
-                           for w in _list_items(raw.get("global_writes"))],
-            local_types={str(k): str(v)
-                         for k, v in _dict_items(raw.get("local_types"))})
-
 
 @dataclass
 class ModuleConcurrency:
@@ -343,58 +212,6 @@ class ModuleConcurrency:
     mutable_globals: Dict[str, int] = field(default_factory=dict)
     global_types: Dict[str, str] = field(default_factory=dict)
     spawns: List[SpawnSite] = field(default_factory=list)
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON form for the incremental cache (pure content digest)."""
-        return {
-            "module": self.module, "display": self.display,
-            "classes": {k: v.as_dict()
-                        for k, v in sorted(self.classes.items())},
-            "functions": {k: v.as_dict()
-                          for k, v in sorted(self.functions.items())},
-            "module_locks": {k: v.as_dict()
-                             for k, v in sorted(self.module_locks.items())},
-            "module_names": sorted(self.module_names),
-            "mutable_globals": dict(sorted(self.mutable_globals.items())),
-            "global_types": dict(sorted(self.global_types.items())),
-            "spawns": [s.as_dict() for s in self.spawns],
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, object]) -> "ModuleConcurrency":
-        return cls(
-            module=str(raw["module"]), display=str(raw["display"]),
-            classes={str(k): ClassModel.from_dict(v)
-                     for k, v in _dict_items(raw.get("classes"))},
-            functions={str(k): FunctionModel.from_dict(v)
-                       for k, v in _dict_items(raw.get("functions"))},
-            module_locks={str(k): LockDecl.from_dict(v)
-                          for k, v in _dict_items(raw.get("module_locks"))},
-            module_names=set(_str_list(raw.get("module_names"))),
-            mutable_globals={str(k): int(v) for k, v  # type: ignore[arg-type]
-                             in _dict_items(raw.get("mutable_globals"))},
-            global_types={str(k): str(v)
-                          for k, v in _dict_items(raw.get("global_types"))},
-            spawns=[SpawnSite.from_dict(s)
-                    for s in _list_items(raw.get("spawns"))])
-
-
-def _str_list(raw: object) -> List[str]:
-    if not isinstance(raw, list):
-        return []
-    return [str(item) for item in raw]
-
-
-def _list_items(raw: object) -> List[Dict[str, object]]:
-    if not isinstance(raw, list):
-        return []
-    return [item for item in raw if isinstance(item, dict)]
-
-
-def _dict_items(raw: object) -> List[Tuple[object, object]]:
-    if not isinstance(raw, dict):
-        return []
-    return list(raw.items())
 
 
 # ----------------------------------------------------------------------
@@ -669,10 +486,9 @@ class _FunctionScanner:
 
 
 def extract_module_concurrency(summary: ModuleSummary, tree: ast.Module,
-                               lines: Sequence[str],
-                               display: str) -> ModuleConcurrency:
+                               lines: Sequence[str]) -> ModuleConcurrency:
     """Build the per-module concurrency model from a parsed tree."""
-    mc = ModuleConcurrency(module=summary.module, display=display)
+    mc = ModuleConcurrency(module=summary.module, display=summary.path)
     guards = _guard_annotations(lines)
     # Module-level names, locks, mutable globals, instrument types.
     for stmt in tree.body:
@@ -1215,40 +1031,17 @@ def _check_thread_escape(project: _Project,
 # ----------------------------------------------------------------------
 # Drivers
 # ----------------------------------------------------------------------
-def run_concurrency(table: SymbolTable,
-                    trees: Dict[str, ast.Module],
-                    sources: Dict[str, Sequence[str]],
-                    displays: Dict[str, str]
+def run_concurrency(parsed: Dict[str, ModuleParse]
                     ) -> Tuple[List[Finding], LockGraph]:
     """Run the CONC pack over parsed modules; returns findings + graph.
 
-    ``trees``/``sources``/``displays`` map module names to their parsed
-    AST, source lines and display path.  ``table`` supplies import-alias
-    resolution (it may know more modules than the tree set; only modules
-    with trees are analyzed).
+    ``parsed`` maps module names to their parsed modules
+    (:func:`~repro.lint.deep.parse_modules`).  The rules are
+    whole-program: one edge anywhere can close a LOCK001 cycle.
     """
-    modules: Dict[str, ModuleConcurrency] = {}
-    for module, tree in trees.items():
-        summary = table.module(module)
-        if summary is None:
-            continue
-        modules[module] = extract_module_concurrency(
-            summary, tree, sources.get(module, ()), displays[module])
-    return run_concurrency_models(table, modules, sources)
-
-
-def run_concurrency_models(table: SymbolTable,
-                           modules: Dict[str, ModuleConcurrency],
-                           sources: Dict[str, Sequence[str]]
-                           ) -> Tuple[List[Finding], LockGraph]:
-    """Whole-program CONC rules over pre-extracted per-module models.
-
-    Extraction (:func:`extract_module_concurrency`) is a pure function of
-    one module's content, so models may come from the incremental cache;
-    the *rules* are whole-program (one new edge anywhere can close a
-    LOCK001 cycle in unchanged modules) and always run over the full set.
-    """
-    project = _Project(table, modules)
+    sources: Dict[str, Sequence[str]] = {
+        module: state.source.splitlines() for module, state in parsed.items()}
+    project = _project(parsed, sources)
     graph = _build_graph(project)
     findings: List[Finding] = []
     findings.extend(_check_lock_order(project, graph, sources))
@@ -1266,36 +1059,21 @@ def build_lock_graph(files: Sequence[str]) -> LockGraph:
     files, builds summaries and the concurrency models, and returns the
     graph without running the finding rules.
     """
-    from .engine import display_path, module_name, python_files
-    from .symbols import summarize_module
+    parsed = parse_modules(python_files(files))
+    return _build_graph(_project(parsed, {
+        module: state.source.splitlines()
+        for module, state in parsed.items()}))
 
-    trees: Dict[str, ast.Module] = {}
-    sources: Dict[str, Sequence[str]] = {}
-    displays: Dict[str, str] = {}
-    summaries: Dict[str, ModuleSummary] = {}
-    for path in python_files(files):
-        module = module_name(path)
-        if not module:
-            continue
-        try:
-            with open(path, encoding="utf-8") as handle:
-                source = handle.read()
-            tree = ast.parse(source, filename=path)
-        except (OSError, UnicodeDecodeError, SyntaxError, ValueError):
-            continue
-        lines = source.splitlines()
-        display = display_path(path)
-        trees[module] = tree
-        sources[module] = lines
-        displays[module] = display
-        summaries[module] = summarize_module(
-            module, display, tree, lines,
-            is_package=path.endswith("__init__.py"))
-    table = SymbolTable(summaries)
-    modules = {module: extract_module_concurrency(
-        summaries[module], tree, sources[module], displays[module])
-        for module, tree in trees.items()}
-    return _build_graph(_Project(table, modules))
+
+def _project(parsed: Dict[str, ModuleParse],
+             sources: Dict[str, Sequence[str]]) -> _Project:
+    """Symbol table and per-module lock models of the parsed modules."""
+    table = SymbolTable({module: state.summary
+                         for module, state in parsed.items()})
+    return _Project(table, {
+        module: extract_module_concurrency(state.summary, state.tree,
+                                           sources[module])
+        for module, state in parsed.items()})
 
 
 def dump_lock_graph(files: Sequence[str]) -> str:

@@ -1,16 +1,15 @@
 """Project configuration for the linter (``[tool.repro-lint]``).
 
 Rule-pack knobs that used to be hardcoded class attributes — the DET003
-wall-clock exemption list, discovery excludes, the unit-declarations file
-for UNIT001 — live in ``pyproject.toml`` under ``[tool.repro-lint]`` so a
-policy change is a config edit, not a source edit:
+wall-clock exemption list and discovery excludes — live in
+``pyproject.toml`` under ``[tool.repro-lint]`` so a policy change is a
+config edit, not a source edit:
 
 .. code-block:: toml
 
     [tool.repro-lint]
     det003-exempt = ["obs", "cli", "bench", "tools"]
     exclude = ["examples/scratch_*.py"]
-    unit-declarations = "src/repro/lint/units.json"
 
 ``tomllib`` (Python 3.11+) parses the file when available; on older
 interpreters a deliberately tiny fallback parser reads just the subset this
@@ -38,17 +37,6 @@ class LintConfig:
 
     det003_exempt: Tuple[str, ...] = DEFAULT_DET003_EXEMPT
     exclude: Tuple[str, ...] = ()
-    unit_declarations: Optional[str] = None
-    #: Directory the config was loaded from (anchors relative paths).
-    root: str = "."
-
-    def unit_declarations_path(self) -> Optional[str]:
-        """The unit-declarations path resolved against the config root."""
-        if self.unit_declarations is None:
-            return None
-        if os.path.isabs(self.unit_declarations):
-            return self.unit_declarations
-        return os.path.join(self.root, self.unit_declarations)
 
 
 class ConfigError(ValueError):
@@ -83,28 +71,19 @@ def config_from_pyproject(path: str) -> LintConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path!r}: {exc}") from exc
     section = _tool_section(text, path)
-    config = LintConfig(root=os.path.dirname(os.path.abspath(path)))
     if not section:
-        return config
+        return LintConfig()
     det003 = _string_list(section, "det003-exempt", path)
     exclude = _string_list(section, "exclude", path)
-    declarations = section.get("unit-declarations")
-    if declarations is not None and not isinstance(declarations, str):
-        raise ConfigError(
-            f"{path!r}: [tool.{CONFIG_SECTION}] unit-declarations must be "
-            f"a string")
-    unknown = sorted(set(section)
-                     - {"det003-exempt", "exclude", "unit-declarations"})
+    unknown = sorted(set(section) - {"det003-exempt", "exclude"})
     if unknown:
         raise ConfigError(
             f"{path!r}: unknown [tool.{CONFIG_SECTION}] key(s): "
             f"{', '.join(unknown)}")
     return LintConfig(
         det003_exempt=tuple(det003) if det003 is not None
-        else config.det003_exempt,
-        exclude=tuple(exclude) if exclude is not None else (),
-        unit_declarations=declarations,
-        root=config.root)
+        else DEFAULT_DET003_EXEMPT,
+        exclude=tuple(exclude) if exclude is not None else ())
 
 
 def _string_list(section: Dict[str, Any], key: str,

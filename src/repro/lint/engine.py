@@ -381,7 +381,7 @@ class LintRunner:
 
         When ``deep`` is given, its whole-program findings (already
         suppression-filtered by the analyzer) join the per-file findings
-        *before* the baseline applies, so FLOW/SHAPE/UNIT findings can be
+        *before* the baseline applies, so FLOW and CONC findings can be
         grandfathered and reported exactly like the classic rules.
         """
         ast_rules = [r for r in self.rules if not isinstance(r, ProjectRule)]

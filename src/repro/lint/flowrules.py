@@ -1,14 +1,16 @@
 """FLOW rule pack: dataflow findings over the deep tier.
 
-Three rules, built on the CFG (:mod:`.cfg`), the dataflow engine
+Two rules, built on the CFG (:mod:`.cfg`), the dataflow engine
 (:mod:`.dataflow`) and the module summaries (:mod:`.symbols`):
 
 **FLOW002 — resource with a close-skipping path.**  A ``Span``/pool/file
 object bound to a local has a CFG path from its creation to a *normal*
-function exit with no ``close()``/``with`` on that path.  Escaping values
-(returned, stored on an object, passed to another call) transfer ownership
-and are not reported; pure exception paths are also ignored — ``with`` is
-still better, but the rule only claims what the CFG proves.
+function exit with no ``close()``/``with`` on that path.  A value that
+escapes — returned, yielded, or stored into an attribute, subscript or
+container — transfers ownership and is not reported.  Passing it to a
+call does not: ``json.dump(obj, handle)`` writes through the handle and
+leaves it open.  Pure exception paths are ignored — ``with`` is still
+better, but the rule only claims what the CFG proves.
 
 **FLOW003 — taxonomy error raised without provenance.**  A
 :mod:`repro.robustness.errors` exception is raised with no ``net=``,
@@ -16,13 +18,6 @@ still better, but the rule only claims what the CFG proves.
 site — including when the error object was constructed earlier and raised
 later (resolved through reaching definitions).  Re-raising a caught
 exception is exempt.
-
-**FLOW004 — anonymous error where provenance is in scope.**  A bare
-``ValueError``/``RuntimeError``/``TypeError`` raised inside a function
-that receives a ``net`` or ``design`` parameter: the provenance the
-taxonomy exists to carry was right there and got dropped.  Functions
-without such a parameter are not flagged — constructor/config validation
-with plain ``ValueError`` stays idiomatic.
 """
 
 from __future__ import annotations
@@ -37,19 +32,12 @@ from .symbols import ModuleSummary, canonical_name, dotted_name
 
 FLOW_RESOURCE_RULE = "FLOW002"
 FLOW_PROVENANCE_RULE = "FLOW003"
-FLOW_ANONYMOUS_RULE = "FLOW004"
 
 #: Taxonomy exceptions whose raise sites must carry provenance keywords.
 PROVENANCE_ERRORS = frozenset({
     "EstimationError", "InputError", "NumericalError", "ModelError"})
 
 PROVENANCE_KEYS = frozenset({"net", "design", "sink", "stage", "tier"})
-
-#: Anonymous builtins FLOW004 rejects when provenance is in scope.
-ANONYMOUS_ERRORS = frozenset({"ValueError", "RuntimeError", "TypeError"})
-
-#: Parameter names that put provenance in scope for FLOW004.
-PROVENANCE_PARAMS = frozenset({"net", "design"})
 
 #: Callable tails treated as resource constructors by FLOW002.
 RESOURCE_TAILS = frozenset({
@@ -129,11 +117,6 @@ class _ResourceAnalysis:
                         and isinstance(node.func.value, ast.Name) \
                         and node.func.attr in CLOSE_TAILS:
                     closed.add(node.func.value.id)
-                for arg in list(node.args) + [k.value for k in node.keywords]:
-                    escaped.update(_names_in(arg))
-            elif isinstance(node, (ast.Attribute, ast.Subscript)) \
-                    and isinstance(node.ctx, ast.Store):
-                pass
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
                     if not isinstance(target, ast.Name):
@@ -217,60 +200,6 @@ def check_raise_provenance(summary: ModuleSummary, tree: ast.Module,
                                  f"design=, sink=, stage=, tier= so the "
                                  f"failure stays traceable"),
                         snippet=_snippet(lines, stmt.lineno))
-
-
-def check_anonymous_raises(summary: ModuleSummary, tree: ast.Module,
-                           lines: Sequence[str]) -> Iterator[Finding]:
-    """FLOW004 findings of one module."""
-    for name, fn_node in _all_functions(tree):
-        in_scope = sorted(_provenance_params(fn_node))
-        if not in_scope:
-            continue
-        for stmt in _own_statements(fn_node):
-            if not isinstance(stmt, ast.Raise) \
-                    or not isinstance(stmt.exc, ast.Call):
-                continue
-            written = dotted_name(stmt.exc.func)
-            if written is None or written not in ANONYMOUS_ERRORS:
-                continue
-            params = "/".join(f"{p}=" for p in in_scope)
-            yield Finding(
-                rule=FLOW_ANONYMOUS_RULE, severity=SEVERITY_WARNING,
-                path=summary.path, line=stmt.lineno, col=stmt.col_offset,
-                message=(f"anonymous {written} raised in {name}() while "
-                         f"provenance ({params}) is in scope; raise a "
-                         f"taxonomy error (InputError/NumericalError/"
-                         f"ModelError) carrying it instead"),
-                snippet=_snippet(lines, stmt.lineno))
-
-
-def _provenance_params(fn: ast.FunctionDef) -> Set[str]:
-    args = fn.args
-    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
-    return names & PROVENANCE_PARAMS
-
-
-def _all_functions(tree: ast.Module) -> Iterator[Tuple[str, ast.FunctionDef]]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.name, node
-
-
-def _own_statements(fn: ast.FunctionDef) -> Iterator[ast.stmt]:
-    """Statements of a function body, not descending into nested defs."""
-    stack: List[ast.stmt] = list(fn.body)
-    while stack:
-        stmt = stack.pop()
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            continue
-        yield stmt
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.stmt):
-                stack.append(child)
-            elif isinstance(child, ast.excepthandler):
-                stack.extend(s for s in ast.iter_child_nodes(child)
-                             if isinstance(s, ast.stmt))
 
 
 def _env_at(rd: ReachingDefinitions, block: Block,

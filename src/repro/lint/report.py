@@ -1,19 +1,16 @@
 """Text and JSON renderers for lint results.
 
-The JSON document (schema ``repro-lint/5``) is the machine interface CI
+The JSON document (schema ``repro-lint/6``) is the machine interface CI
 consumes and archives; it is rendered with sorted keys and a stable field
-set so reports diff cleanly across runs.  Version 2 added the deep-tier
-block: ``packs`` (which analysis packs exist) and ``cache`` (the
-incremental-analysis counters — how many modules were re-analyzed vs
-served from the summary cache), both ``null``-free only when ``--deep``
-ran.  Version 3 adds the ``concurrency`` block — the CONC pack's
+set so reports diff cleanly across runs.  ``packs`` lists the analysis
+packs that ran, ``deep`` holds the deep tier's counters (modules
+analyzed, findings suppressed inline) and ``concurrency`` the CONC pack's
 whole-program counters (modules swept, lock nodes, lock-order edges,
-findings) when ``--concurrency`` ran, else ``null`` — and lists ``CONC``
-in ``packs`` for such runs.  Version 4 added ``perf`` and ``arch``
-blocks; version 5 drops them again with the packs that filled them.
-The text renderer is for humans at the terminal: one
-``path:line:col: RULE severity: message`` row per finding plus a summary
-line.
+findings); each is empty or ``null`` when its tier did not run.  Version
+6 renamed version 5's ``cache`` block to ``deep`` when the deep tier's
+summary cache was removed.  The text renderer is for humans at the
+terminal: one ``path:line:col: RULE severity: message`` row per finding
+plus a summary line.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .engine import LintResult, Rule
 
-REPORT_SCHEMA = "repro-lint/5"
+REPORT_SCHEMA = "repro-lint/6"
 
 
 def render_text(result: LintResult) -> str:
@@ -43,8 +40,7 @@ def render_text(result: LintResult) -> str:
     if result.baselined:
         extras.append(f"{result.baselined} baselined")
     if result.deep is not None:
-        extras.append(f"deep: {result.deep.modules_analyzed} analyzed, "
-                      f"{result.deep.modules_cached} from cache")
+        extras.append(f"deep: {result.deep.modules_analyzed} analyzed")
         if result.deep.concurrency is not None:
             conc = result.deep.concurrency
             extras.append(f"concurrency: {conc['locks']} lock(s), "
@@ -56,7 +52,7 @@ def render_text(result: LintResult) -> str:
 
 
 def report_document(result: LintResult) -> Dict[str, object]:
-    """The ``repro-lint/5`` report as a JSON-safe dict."""
+    """The ``repro-lint/6`` report as a JSON-safe dict."""
     deep: Optional[Dict[str, object]] = None
     packs: List[str] = []
     concurrency: Optional[Dict[str, object]] = None
@@ -77,7 +73,7 @@ def report_document(result: LintResult) -> Dict[str, object]:
         "stale_baseline": [entry.as_dict()
                            for entry in result.stale_baseline],
         "packs": packs,
-        "cache": deep,
+        "deep": deep,
         "concurrency": concurrency,
         "exit_code": result.exit_code,
     }

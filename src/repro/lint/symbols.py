@@ -2,30 +2,22 @@
 
 The deep (``--deep``) tier analyses the project one module at a time but
 reasons across modules: a call in one module may name a function defined
-in another through aliased imports and package re-exports, and SHAPE
-checks that call against the callee's contract.  The bridge is the
-:class:`ModuleSummary` — a JSON-serializable digest of one module holding
-exactly the facts the cross-module rule packs consume:
+in another through aliased imports and package re-exports, and the CONC
+pack follows such calls into the lock-order graph.  The bridge is the
+:class:`ModuleSummary` — a digest of one module holding exactly the facts
+cross-module resolution consumes:
 
 * the **import alias table** (``import numpy as np`` → ``np``,
   ``from ..obs import get_metrics`` → ``get_metrics``), with relative
   imports resolved against the module's dotted name;
-* every **top-level function and method** with its parameter list and
-  its shape/dtype contract when annotated (SHAPE001/002).
-
-Summaries are what the incremental cache persists: they are derived purely
-from one module's source text, so a module's summary is valid exactly as
-long as its content hash — cross-module *findings* are recomputed from
-summaries instead (see :mod:`repro.lint.deep`).
+* the qualnames of its **top-level functions and methods**.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
-
-from .shapes import ShapeContract, parse_contract
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -41,34 +33,8 @@ def dotted_name(node: ast.AST) -> Optional[str]:
 
 
 @dataclass
-class FunctionSummary:
-    """Cross-module-relevant facts of one function or method."""
-
-    qualname: str
-    line: int
-    params: List[str] = field(default_factory=list)
-    contract: Optional[ShapeContract] = None
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "params": list(self.params),
-            "contract": self.contract.as_dict() if self.contract else None,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "FunctionSummary":
-        contract = raw.get("contract")
-        return cls(
-            qualname=str(raw["qualname"]), line=int(raw["line"]),
-            params=[str(p) for p in raw.get("params", [])],
-            contract=ShapeContract.from_dict(contract) if contract else None)
-
-
-@dataclass
 class ModuleSummary:
-    """Serializable whole-module digest for the deep analysis tier."""
+    """Whole-module digest for the deep analysis tier."""
 
     module: str
     path: str
@@ -79,35 +45,8 @@ class ModuleSummary:
     #: ``effective_capacitance`` to ``("repro.liberty.ceff",
     #: "effective_capacitance")``.
     imports: Dict[str, Tuple[str, Optional[str]]] = field(default_factory=dict)
-    #: imported module names (the import-graph edges, pre-filter).
-    imported_modules: List[str] = field(default_factory=list)
-    functions: Dict[str, FunctionSummary] = field(default_factory=dict)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "is_package": self.is_package,
-            "imports": {alias: [target, symbol]
-                        for alias, (target, symbol)
-                        in sorted(self.imports.items())},
-            "imported_modules": sorted(set(self.imported_modules)),
-            "functions": {name: fn.as_dict()
-                          for name, fn in sorted(self.functions.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            module=str(raw["module"]), path=str(raw["path"]),
-            is_package=bool(raw.get("is_package", False)),
-            imports={alias: (str(pair[0]),
-                             None if pair[1] is None else str(pair[1]))
-                     for alias, pair in raw.get("imports", {}).items()},
-            imported_modules=[str(m)
-                              for m in raw.get("imported_modules", [])],
-            functions={name: FunctionSummary.from_dict(fn)
-                       for name, fn in raw.get("functions", {}).items()})
+    #: qualnames of top-level functions and methods (``Class.method``).
+    functions: Set[str] = field(default_factory=set)
 
 
 def resolve_relative(module: str, is_package: bool, level: int,
@@ -128,19 +67,16 @@ def resolve_relative(module: str, is_package: bool, level: int,
 
 
 def summarize_module(module: str, path: str, tree: ast.Module,
-                     lines: List[str], is_package: bool = False
-                     ) -> ModuleSummary:
+                     is_package: bool = False) -> ModuleSummary:
     """Extract the :class:`ModuleSummary` of one parsed module."""
     summary = ModuleSummary(module=module, path=path, is_package=is_package)
     _collect_imports(summary, tree)
-    for qualname, node in _function_defs(tree):
-        summary.functions[qualname] = _summarize_function(
-            qualname, node, lines)
+    summary.functions.update(_function_qualnames(tree))
     return summary
 
 
 def _collect_imports(summary: ModuleSummary, tree: ast.AST) -> None:
-    """Collect aliases and imported modules in source order.
+    """Collect import aliases in source order.
 
     Aliases are collected everywhere: a deferred import still binds the
     name later call sites use.
@@ -152,13 +88,11 @@ def _collect_imports(summary: ModuleSummary, tree: ast.AST) -> None:
                 target = alias.name if alias.asname else \
                     alias.name.split(".")[0]
                 summary.imports[bound] = (target, None)
-                summary.imported_modules.append(alias.name)
         elif isinstance(node, ast.ImportFrom):
             target = resolve_relative(summary.module, summary.is_package,
                                       node.level, node.module)
             if target is None:
                 continue
-            summary.imported_modules.append(target)
             for alias in node.names:
                 if alias.name == "*":
                     continue
@@ -168,26 +102,15 @@ def _collect_imports(summary: ModuleSummary, tree: ast.AST) -> None:
             _collect_imports(summary, node)
 
 
-def _function_defs(tree: ast.Module
-                   ) -> Iterator[Tuple[str, ast.FunctionDef]]:
-    """Top-level functions and class methods with their local qualnames."""
+def _function_qualnames(tree: ast.Module) -> Iterator[str]:
+    """Top-level functions and class methods, as local qualnames."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.name, node
+            yield node.name
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield f"{node.name}.{item.name}", item
-
-
-def _summarize_function(qualname: str, node: ast.FunctionDef,
-                        lines: List[str]) -> FunctionSummary:
-    args = node.args
-    params = [a.arg for a in (args.posonlyargs + args.args
-                              + args.kwonlyargs)]
-    return FunctionSummary(qualname=qualname, line=node.lineno,
-                           params=params,
-                           contract=parse_contract(node, lines))
+                    yield f"{node.name}.{item.name}"
 
 
 def canonical_name(summary: ModuleSummary, written: str) -> str:
@@ -267,10 +190,3 @@ class SymbolTable:
                 remainder = ".".join(parts[cut:])
                 return module, remainder
         return None
-
-    def function(self, module: str, symbol: str
-                 ) -> Optional[FunctionSummary]:
-        summary = self.summaries.get(module)
-        if summary is None:
-            return None
-        return summary.functions.get(symbol)

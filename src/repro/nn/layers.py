@@ -225,7 +225,7 @@ class Linear(Module):
         self.bias = Parameter(zeros((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        # repro-shape: x=(b, n, i):f64 -> (b, n, o):f64
+        """``(b, n, in_features)`` to ``(b, n, out_features)``."""
         out = x @ self.weight
         if self.bias is not None:
             out = out + self.bias
@@ -255,7 +255,7 @@ class MLP(Module):
         self.dropout = Dropout(dropout, rng) if dropout > 0.0 else None
 
     def forward(self, x: Tensor) -> Tensor:
-        # repro-shape: x=(b, n, i):f64 -> (b, n, o):f64
+        """``(b, n, in_features)`` to ``(b, n, out_features)``."""
         for i, layer in enumerate(self.layers):
             x = layer(x)
             if i < len(self.layers) - 1:
@@ -280,7 +280,7 @@ class LayerNorm(Module):
         self.beta = Parameter(zeros((features,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        # repro-shape: x=(b, n, f):f64 -> (b, n, f):f64
+        """``(b, n, features)`` in, the same shape out."""
         mu = x.mean(axis=-1, keepdims=True)
         centered = x - mu
         var = (centered * centered).mean(axis=-1, keepdims=True)

@@ -178,7 +178,7 @@ class FaultInjector:
         Delays are drawn from this injector's rng, so a campaign's latency
         pattern is reproducible.  ``sleep`` is injectable: production chaos
         runs keep ``time.sleep``, unit tests pass a recording fake so
-        timeout and hedging paths are exercised without real clocks.
+        timeout paths are exercised without real clocks.
         """
         return SlowTierModel(model, delay_s, jitter_s=jitter_s, every=every,
                              rng=self.rng, sleep=sleep)
@@ -191,7 +191,7 @@ class SlowTierModel:
     in ``[0, jitter_s)`` before delegating to the wrapped model; the answer
     itself is untouched.  This is the deterministic stand-in for a tier
     that has gone slow (cold cache, swapping, contended accelerator), used
-    to drive the serve layer's deadline and hedging paths.
+    to drive the serve layer's deadline paths.
     """
 
     def __init__(self, model, delay_s: float, jitter_s: float = 0.0,

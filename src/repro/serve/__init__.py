@@ -6,7 +6,7 @@ queueing, deadlines and load shedding (:mod:`~repro.serve.admission`),
 request coalescing (:mod:`~repro.serve.batching`), shed-aware tier
 ladders (:mod:`~repro.serve.engine`), lifecycle probes + drain + worker
 supervision (:mod:`~repro.serve.lifecycle`), the HTTP front
-(:mod:`~repro.serve.server`), a retrying/hedging client
+(:mod:`~repro.serve.server`), a retrying client
 (:mod:`~repro.serve.client`) and the ``repro bench`` load generator
 (:mod:`~repro.serve.loadgen`).
 

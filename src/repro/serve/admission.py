@@ -117,8 +117,8 @@ class Ticket:
         """Attach the terminal response; False if already finished.
 
         First writer wins — a late worker result after a deadline response
-        (or a hedged duplicate) is dropped, so the caller observes exactly
-        one terminal outcome per request.
+        is dropped, so the caller observes exactly one terminal outcome
+        per request.
         """
         if self.done.is_set():
             return False

@@ -1,4 +1,4 @@
-"""Client for the timing service: retries, backoff with jitter, hedging.
+"""Client for the timing service: retries and backoff with jitter.
 
 The retry policy mirrors the server's typed taxonomy:
 
@@ -12,17 +12,14 @@ The retry policy mirrors the server's typed taxonomy:
 * ``InternalError`` (500) — retried once; the server already degraded
   through its fallback ladder before saying this.
 
-Hedging (off by default) races a second request after ``hedge_after_s``
-of silence; the service's first-writer-wins tickets make duplicates safe.
-The RNG, clock, and sleep are injectable so the policy is testable
-without real waiting.
+The RNG and sleep are injectable so the policy is testable without real
+waiting.
 """
 
 from __future__ import annotations
 
 import http.client
 import random  # repro-lint: disable=DET002 backoff jitter only; injectable via the rng parameter, never label-facing
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
@@ -31,7 +28,6 @@ from ..obs import get_metrics
 from .protocol import ServeRequest, ServeResponse, TimingQuery, decode_response
 
 _RETRIES = get_metrics().counter("serve.client_retries")
-_HEDGES = get_metrics().counter("serve.client_hedges")
 
 #: Error types never worth retrying (same outcome every attempt).
 _NO_RETRY = frozenset({"InputError", "DeadlineError"})
@@ -68,25 +64,21 @@ class TimingClient:
     def __init__(self, host: str = "127.0.0.1", port: int = 8731,
                  policy: RetryPolicy = RetryPolicy(),
                  timeout_s: float = 10.0,
-                 hedge_after_s: Optional[float] = None,
                  rng: Optional[random.Random] = None,
                  sleep: Callable[[float], None] = time.sleep) -> None:
         self.host = host
         self.port = port
         self.policy = policy
         self.timeout_s = timeout_s
-        self.hedge_after_s = hedge_after_s
         self.rng = rng if rng is not None else random.Random()
         self.sleep = sleep
 
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
-    def _post_once(self, path: str, body: bytes,
-                   timeout_s: Optional[float] = None) -> ServeResponse:
-        connection = http.client.HTTPConnection(
-            self.host, self.port,
-            timeout=self.timeout_s if timeout_s is None else timeout_s)
+    def _post_once(self, path: str, body: bytes) -> ServeResponse:
+        connection = http.client.HTTPConnection(self.host, self.port,
+                                                timeout=self.timeout_s)
         try:
             connection.request("POST", path, body=body,
                                headers={"Content-Type": "application/json"})
@@ -118,7 +110,7 @@ class TimingClient:
             if attempt > 0:
                 _RETRIES.inc()
             try:
-                response = self._attempt(body)
+                response = self._post_once("/v1/timing", body)
             except (OSError, http.client.HTTPException, ValueError) as exc:
                 last_transport = exc
                 self.sleep(self.policy.backoff(attempt, self.rng))
@@ -145,45 +137,6 @@ class TimingClient:
             f"no response from {self.host}:{self.port} after "
             f"{self.policy.max_attempts} attempts: {last_transport}",
             last_response=None)
-
-    def _attempt(self, body: bytes) -> ServeResponse:
-        """One logical attempt: a single POST, or a hedged pair."""
-        if self.hedge_after_s is None:
-            return self._post_once("/v1/timing", body)
-        return self._hedged_post(body)
-
-    def _hedged_post(self, body: bytes) -> ServeResponse:
-        """Race a backup request after ``hedge_after_s`` of silence.
-
-        Safe because the service answers each *request* independently and
-        duplicates cost only cheap-tier work under load; first usable
-        response wins, the loser is abandoned.
-        """
-        results: List[Optional[ServeResponse]] = [None, None]
-        errors: List[Optional[Exception]] = [None, None]
-        first_done = threading.Event()
-
-        def _runner(slot: int) -> None:
-            try:
-                results[slot] = self._post_once("/v1/timing", body)
-            except (OSError, http.client.HTTPException, ValueError) as exc:
-                errors[slot] = exc
-            finally:
-                first_done.set()
-
-        primary = threading.Thread(target=_runner, args=(0,), daemon=True)
-        primary.start()
-        if not first_done.wait(self.hedge_after_s):
-            _HEDGES.inc()
-            backup = threading.Thread(target=_runner, args=(1,), daemon=True)
-            backup.start()
-            backup.join(self.timeout_s)
-        primary.join(self.timeout_s)
-        for response in results:
-            if response is not None:
-                return response
-        raise errors[0] or errors[1] \
-            or OSError("hedged request produced no response")
 
     # ------------------------------------------------------------------
     # Conveniences

@@ -24,8 +24,7 @@ from repro.analysis.mna import capacitance_vector
 from repro.analysis.simulator import EigenSolve, WireTimingResult
 from repro.features.path_features import (NetAnalysis, analyze_net_features,
                                           analyze_nets_for_features)
-from repro.obs import get_metrics
-from repro.robustness.errors import EstimationError, InputError
+from repro.robustness.errors import InputError
 from repro.rcnet import random_net, random_tree_net
 
 
@@ -183,24 +182,6 @@ class TestEngineCacheContract:
             assert np.array_equal(result.eigenvalues, scalar.eigenvalues)
             assert np.array_equal(result.q, scalar.q)
             assert np.array_equal(result.caps, scalar.caps)
-
-    def test_pow2_mode_close_and_counts_padding(self):
-        """pow2 bucketing is near-identical (never bitwise-guaranteed)."""
-        waste = get_metrics().counter("batch.padding_waste")
-        before = waste.value
-        exact = BatchedEigenEngine(cache=SolveCache(maxsize=0))
-        padded = BatchedEigenEngine(bucket="pow2",
-                                    cache=SolveCache(maxsize=0))
-        requests = self._requests(14)
-        for a, b in zip(exact.solve_many(requests),
-                        padded.solve_many(requests)):
-            np.testing.assert_allclose(a.eigenvalues, b.eigenvalues,
-                                       rtol=1e-9, atol=1e-12)
-        assert waste.value > before  # 2-32 node nets are rarely pow2-sized
-
-    def test_invalid_bucket_rejected(self):
-        with pytest.raises(ValueError, match="unknown bucket mode"):
-            BatchedEigenEngine(bucket="fibonacci")
 
     def test_bad_drive_resistance_is_typed_error(self):
         requests = self._requests(15, count=3)

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.liberty import (FUNCTION_IDS, Cell, Library, effective_capacitance,
-                           make_default_library)
-from repro.rcnet import chain_net, star_net
+from repro.liberty import FUNCTION_IDS, Cell, Library, effective_capacitance
 
 
 class TestDefaultLibrary:
@@ -92,6 +90,18 @@ class TestEffectiveCapacitance:
         """R_drive >> R_wire: no shielding, ceff -> total cap."""
         ceff = effective_capacitance(small_chain, drive_resistance=1e6)
         assert ceff == pytest.approx(small_chain.total_cap, rel=1e-3)
+
+    def test_chain_closed_form(self, small_chain):
+        """Each node's cap is shielded by R_drive / (R_drive + R_path).
+
+        On the uniform ladder node ``j`` sits ``100 * j`` ohms from the
+        source, so a 10-ohm driver sees a small, exactly known fraction
+        of the 20 fF total.
+        """
+        expected = sum(2e-15 * 10.0 / (10.0 + 100.0 * j) for j in range(10))
+        ceff = effective_capacitance(small_chain, drive_resistance=10.0)
+        assert ceff == pytest.approx(expected, rel=1e-12)
+        assert ceff < 0.25 * small_chain.total_cap
 
     def test_weak_driver_sees_shielded_load(self, small_chain):
         strong = effective_capacitance(small_chain, drive_resistance=1e5)

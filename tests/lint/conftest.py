@@ -4,7 +4,7 @@ import textwrap
 
 import pytest
 
-from repro.lint import DeepAnalyzer, LintConfig, LintRunner
+from repro.lint import DeepAnalyzer, LintRunner
 
 
 @pytest.fixture
@@ -30,21 +30,19 @@ def lint_snippet(tmp_path):
 def deep_lint(tmp_path, monkeypatch):
     """Write a package of snippets and run the deep tier over it.
 
-    Returns ``deep(files, cache_path=None, config=None, **packs)`` ->
-    ``(findings, stats)`` where ``files`` maps relative paths (package
-    layout, e.g. ``"pkg/tasks.py"``) to source text.  Re-invoking with the
-    same ``cache_path`` exercises the incremental cache; ``**packs``
-    forwards the pack toggle (``concurrency=True``).
+    Returns ``deep(files, **packs)`` -> ``(findings, stats)`` where
+    ``files`` maps relative paths (package layout, e.g.
+    ``"pkg/tasks.py"``) to source text; ``**packs`` forwards the pack
+    toggle (``concurrency=True``).
     """
     monkeypatch.chdir(tmp_path)
 
-    def deep(files, cache_path=None, config=None, **packs):
+    def deep(files, **packs):
         for name, source in files.items():
             path = tmp_path / name
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(textwrap.dedent(source), encoding="utf-8")
-        analyzer = DeepAnalyzer(config=config or LintConfig(),
-                                cache_path=cache_path, **packs)
+        analyzer = DeepAnalyzer(**packs)
         return analyzer.analyze(sorted(files))
 
     return deep

@@ -32,7 +32,7 @@ def test_json_format(tmp_path, capsys):
     path = _write(tmp_path, "bad.py", DIRTY)
     assert main(["lint", path, "--format", "json"]) == 1
     document = json.loads(capsys.readouterr().out)
-    assert document["schema"] == "repro-lint/5"
+    assert document["schema"] == "repro-lint/6"
     assert document["counts"] == {"DET002": 1}
 
 
@@ -106,8 +106,7 @@ def test_list_rules(capsys):
 def test_list_rules_includes_deep_tier(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for name in ("FLOW002", "FLOW003", "FLOW004",
-                 "SHAPE001", "SHAPE002", "UNIT001"):
+    for name in ("FLOW002", "FLOW003"):
         assert name in out
 
 
@@ -123,7 +122,7 @@ def solve(matrix):
 def test_deep_tier_flags_flow_findings(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _write(tmp_path, "sim.py", FLOW_DIRTY)
-    assert main(["lint", "sim.py", "--deep", "--cache", "off"]) == 1
+    assert main(["lint", "sim.py", "--deep"]) == 1
     assert "FLOW003" in capsys.readouterr().out
 
 
@@ -134,18 +133,15 @@ def test_deep_tier_off_by_default(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_deep_cache_file_round_trip(tmp_path, capsys, monkeypatch):
+def test_deep_tier_json_block(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _write(tmp_path, "sim.py", FLOW_DIRTY)
-    cache = tmp_path / "lint-cache.json"
-    argv = ["lint", "sim.py", "--deep", "--cache", str(cache),
-            "--format", "json"]
-    assert main(argv) == 1
-    cold = json.loads(capsys.readouterr().out)
-    assert cache.is_file()
-    assert main(argv) == 1
-    warm = json.loads(capsys.readouterr().out)
-    assert warm["counts"] == cold["counts"] == {"FLOW003": 1}
+    assert main(["lint", "sim.py", "--deep", "--format", "json"]) == 1
+    document = json.loads(capsys.readouterr().out)
+    assert document["counts"] == {"FLOW003": 1}
+    assert document["deep"] == {"modules_analyzed": 1, "suppressed": 0}
+    assert "FLOW" in document["packs"]
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "sim.py"]
 
 
 def test_exclude_flag_skips_files(tmp_path, capsys, monkeypatch):
@@ -153,39 +149,6 @@ def test_exclude_flag_skips_files(tmp_path, capsys, monkeypatch):
     _write(tmp_path, "bad.py", DIRTY)
     assert main(["lint", ".", "--exclude", "bad.py"]) == 0
     capsys.readouterr()
-
-
-def _git(tmp_path, *argv):
-    import subprocess
-    subprocess.run(["git", "-C", str(tmp_path),
-                    "-c", "user.email=lint@example.com",
-                    "-c", "user.name=lint", *argv],
-                   check=True, capture_output=True)
-
-
-def test_changed_mode_restricts_to_git_diff(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    _write(tmp_path, "steady.py", DIRTY)   # dirty but untouched since commit
-    _write(tmp_path, "edited.py", CLEAN)
-    _git(tmp_path, "init", "-q")
-    _git(tmp_path, "add", ".")
-    _git(tmp_path, "commit", "-q", "-m", "seed")
-    _write(tmp_path, "edited.py", DIRTY)   # the only change since HEAD
-    assert main(["lint", ".", "--changed"]) == 1
-    out = capsys.readouterr().out
-    assert "edited.py" in out
-    assert "steady.py" not in out
-
-
-def test_changed_mode_with_no_changes_is_clean(tmp_path, capsys,
-                                               monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    _write(tmp_path, "steady.py", DIRTY)
-    _git(tmp_path, "init", "-q")
-    _git(tmp_path, "add", ".")
-    _git(tmp_path, "commit", "-q", "-m", "seed")
-    assert main(["lint", ".", "--changed"]) == 0
-    assert "no changed python files" in capsys.readouterr().out
 
 
 def test_report_without_inputs_is_usage_error(capsys):

@@ -13,8 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import (DeepAnalyzer, LintConfig, build_lock_graph,
-                        dump_lock_graph)
+from repro.lint import DeepAnalyzer, build_lock_graph, dump_lock_graph
 
 REPO = Path(__file__).resolve().parents[2]
 GOLDEN = Path(__file__).parent / "goldens" / "serve_lock_graph.txt"
@@ -25,7 +24,7 @@ def conc_lint(tmp_path, monkeypatch):
     """Write a package of snippets, run deep+concurrency, return findings.
 
     ``conc(files)`` -> ``(findings, stats)``; files map relative paths to
-    source text.  The summary cache is disabled so each call is hermetic.
+    source text.
     """
     monkeypatch.chdir(tmp_path)
 
@@ -34,8 +33,7 @@ def conc_lint(tmp_path, monkeypatch):
             path = tmp_path / name
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(textwrap.dedent(source), encoding="utf-8")
-        analyzer = DeepAnalyzer(config=LintConfig(), cache_path=None,
-                                concurrency=True)
+        analyzer = DeepAnalyzer(concurrency=True)
         return analyzer.analyze(sorted(files))
 
     return conc
@@ -545,15 +543,14 @@ def test_repo_lock_graph_is_acyclic():
 def test_stats_carry_concurrency_block(conc_lint):
     findings, stats = conc_lint({"pkg/store.py": INVERTED})
     assert stats.concurrency == {
-        "modules": 1, "findings": 2, "locks": 2, "lock_edges": 2,
-        "models_reused": 0, "models_extracted": 1}
+        "modules": 1, "findings": 2, "locks": 2, "lock_edges": 2}
     assert "CONC" in stats.as_dict()["packs"]
 
 
 def test_plain_deep_run_has_no_concurrency_block(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "mod.py").write_text("x = 1\n", encoding="utf-8")
-    analyzer = DeepAnalyzer(config=LintConfig(), cache_path=None)
+    analyzer = DeepAnalyzer()
     _, stats = analyzer.analyze(["mod.py"])
     assert stats.concurrency is None
     assert "CONC" not in stats.as_dict()["packs"]

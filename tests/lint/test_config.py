@@ -1,10 +1,8 @@
 """[tool.repro-lint] configuration loading and validation."""
 
-import os
-
 import pytest
 
-from repro.lint import ConfigError, LintConfig, load_config
+from repro.lint import ConfigError, load_config
 from repro.lint.config import DEFAULT_DET003_EXEMPT, config_from_pyproject
 
 
@@ -19,7 +17,6 @@ class TestLoadConfig:
         config = load_config(str(tmp_path))
         assert config.det003_exempt == DEFAULT_DET003_EXEMPT
         assert config.exclude == ()
-        assert config.unit_declarations is None
 
     def test_walks_up_to_nearest_pyproject(self, tmp_path):
         _write(tmp_path, '[tool.repro-lint]\nexclude = ["gen_*.py"]\n')
@@ -27,13 +24,12 @@ class TestLoadConfig:
         nested.mkdir(parents=True)
         config = load_config(str(nested))
         assert config.exclude == ("gen_*.py",)
-        assert config.root == str(tmp_path)
 
-    def test_section_absent_keeps_defaults_but_sets_root(self, tmp_path):
+    def test_section_absent_keeps_defaults(self, tmp_path):
         _write(tmp_path, '[project]\nname = "demo"\n')
         config = load_config(str(tmp_path))
         assert config.det003_exempt == DEFAULT_DET003_EXEMPT
-        assert config.root == str(tmp_path)
+        assert config.exclude == ()
 
 
 class TestSectionParsing:
@@ -42,12 +38,10 @@ class TestSectionParsing:
             '[tool.repro-lint]\n'
             'det003-exempt = ["obs", "viz"]\n'
             'exclude = ["examples/scratch_*.py"]\n'
-            'unit-declarations = "lint/units.json"\n'
         ))
         config = config_from_pyproject(path)
         assert config.det003_exempt == ("obs", "viz")
         assert config.exclude == ("examples/scratch_*.py",)
-        assert config.unit_declarations == "lint/units.json"
 
     def test_unknown_key_raises(self, tmp_path):
         path = _write(tmp_path,
@@ -60,28 +54,8 @@ class TestSectionParsing:
         with pytest.raises(ConfigError, match="list of strings"):
             config_from_pyproject(path)
 
-    def test_non_string_declarations_raises(self, tmp_path):
-        path = _write(tmp_path,
-                      '[tool.repro-lint]\nunit-declarations = ["a.json"]\n')
-        with pytest.raises(ConfigError, match="must be .*a string"):
-            config_from_pyproject(path)
-
     def test_malformed_toml_raises(self, tmp_path):
         path = _write(tmp_path, '[tool.repro-lint\nexclude = [\n')
         with pytest.raises(ConfigError, match="cannot parse"):
             config_from_pyproject(path)
 
-
-class TestDeclarationsPath:
-    def test_relative_path_resolves_against_root(self):
-        config = LintConfig(unit_declarations="lint/units.json",
-                            root="/repo")
-        assert config.unit_declarations_path() \
-            == os.path.join("/repo", "lint/units.json")
-
-    def test_absolute_path_passes_through(self):
-        config = LintConfig(unit_declarations="/etc/units.json")
-        assert config.unit_declarations_path() == "/etc/units.json"
-
-    def test_none_stays_none(self):
-        assert LintConfig().unit_declarations_path() is None

@@ -74,12 +74,12 @@ class TestSuppression:
 
     def test_multiline_comment_on_first_line_also_covers_all(self):
         source = (
-            "value = compute(  # repro-lint: disable=SHAPE001\n"
+            "value = compute(  # repro-lint: disable=FLOW002\n"
             "    alpha,\n"
             ")\n")
-        assert suppressed_lines(source) == {1: {"SHAPE001"},
-                                            2: {"SHAPE001"},
-                                            3: {"SHAPE001"}}
+        assert suppressed_lines(source) == {1: {"FLOW002"},
+                                            2: {"FLOW002"},
+                                            3: {"FLOW002"}}
 
     def test_decorator_comment_covers_the_decorated_def(self):
         source = (

@@ -50,6 +50,20 @@ class TestFlow002:
         })
         assert _rules(findings) == []
 
+    def test_passing_to_a_call_is_not_an_escape(self, deep_lint):
+        findings, _ = deep_lint({
+            "pkg/__init__.py": "",
+            "pkg/io.py": '''\
+                import json
+
+
+                def dump(obj, path):
+                    handle = open(path, "w")
+                    json.dump(obj, handle)
+            ''',
+        })
+        assert _rules(findings) == ["FLOW002"]
+
     def test_returned_resource_transfers_ownership(self, deep_lint):
         findings, _ = deep_lint({
             "pkg/__init__.py": "",
@@ -107,58 +121,3 @@ class TestFlow003:
         })
         assert _rules(findings) == []
 
-
-class TestFlow004:
-    def test_anonymous_valueerror_with_net_in_scope(self, deep_lint):
-        findings, _ = deep_lint({
-            "pkg/__init__.py": "",
-            "pkg/sim.py": '''\
-                def analyze(net, mode):
-                    if mode not in ("rise", "fall"):
-                        raise ValueError(f"unknown mode {mode!r}")
-                    return net
-            ''',
-        })
-        flow = [f for f in findings if f.rule == "FLOW004"]
-        assert len(flow) == 1
-        assert "net=" in flow[0].message
-        assert flow[0].severity == "warning"
-
-    def test_no_provenance_parameter_is_clean(self, deep_lint):
-        findings, _ = deep_lint({
-            "pkg/__init__.py": "",
-            "pkg/config.py": '''\
-                def validate(jobs):
-                    if jobs < 0:
-                        raise ValueError("jobs must be >= 0")
-            ''',
-        })
-        assert _rules(findings) == []
-
-    def test_taxonomy_error_with_provenance_is_clean(self, deep_lint):
-        findings, _ = deep_lint({
-            "pkg/__init__.py": "",
-            "pkg/sim.py": '''\
-                from repro.robustness.errors import InputError
-
-
-                def analyze(net, mode):
-                    if mode not in ("rise", "fall"):
-                        raise InputError(f"unknown mode {mode!r}",
-                                         net=net.name, stage="simulate")
-                    return net
-            ''',
-        })
-        assert _rules(findings) == []
-
-    def test_nested_function_without_net_is_not_flagged(self, deep_lint):
-        findings, _ = deep_lint({
-            "pkg/__init__.py": "",
-            "pkg/sim.py": '''\
-                def analyze(net):
-                    def helper(x):
-                        raise ValueError("bad x")
-                    return helper(net)
-            ''',
-        })
-        assert _rules(findings) == []

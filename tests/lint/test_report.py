@@ -17,7 +17,7 @@ def run(task):
 """
 
 GOLDEN = {
-    "schema": "repro-lint/5",
+    "schema": "repro-lint/6",
     "files_checked": 1,
     "findings": [
         {
@@ -46,7 +46,7 @@ GOLDEN = {
     "baselined": 0,
     "stale_baseline": [],
     "packs": [],
-    "cache": None,
+    "deep": None,
     "concurrency": None,
     "exit_code": 1,
 }

@@ -20,7 +20,7 @@ REPO = Path(__file__).resolve().parents[2]
 
 @pytest.fixture(scope="module")
 def repo_lint():
-    """Every tier CI runs (per-file, FLOW/SHAPE/UNIT, CONC), in one pass.
+    """Every tier CI runs (per-file, FLOW, CONC), in one pass.
 
     Inline suppressions (the documented clock-under-lock sites among
     them) are allowed; new findings are not.
@@ -28,7 +28,7 @@ def repo_lint():
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(REPO)
         config = load_config(str(REPO))
-        deep = DeepAnalyzer(config=config, cache_path=None, concurrency=True)
+        deep = DeepAnalyzer(concurrency=True)
         return LintRunner(exclude=config.exclude).run(
             ["src", "tools"], baseline=load_baseline(DEFAULT_BASELINE),
             deep=deep)
@@ -49,7 +49,7 @@ def test_repo_is_lint_clean(repo_lint):
 
 
 def test_repo_is_deep_clean(repo_lint):
-    """The whole-program tier (FLOW/SHAPE/UNIT) must also stay clean."""
+    """The whole-program tier (FLOW) must also stay clean."""
     deep = [f for f in repo_lint.findings if f.rule in DEEP_RULE_NAMES]
     assert deep == [], f"deep lint findings:\n{_details(deep)}"
     assert repo_lint.deep is not None

@@ -1,8 +1,6 @@
-"""TimingClient: retry taxonomy, backoff jitter, Retry-After, hedging."""
+"""TimingClient: retry taxonomy, backoff jitter, Retry-After."""
 
 import random
-import threading
-import time
 
 import pytest
 
@@ -21,7 +19,7 @@ class _Script:
         self.outcomes = list(outcomes)
         self.calls = 0
 
-    def __call__(self, path, body, timeout_s=None):
+    def __call__(self, path, body):
         self.calls += 1
         outcome = self.outcomes.pop(0)
         if isinstance(outcome, BaseException):
@@ -118,27 +116,3 @@ class TestBackoff:
         assert len(sleeps) == 2
         assert all(0.0 <= s <= 0.04 + 1e-9 for s in sleeps)
 
-
-class TestHedging:
-    def test_slow_primary_triggers_backup(self):
-        release = threading.Event()
-        calls = []
-
-        def transport(path, body, timeout_s=None):
-            calls.append(time.monotonic())
-            if len(calls) == 1:
-                release.wait(5.0)    # primary stalls
-            return OK
-
-        client = TimingClient(host="127.0.0.1", port=1,
-                              hedge_after_s=0.05, timeout_s=5.0)
-        client._post_once = transport
-        response = client.submit(make_request(1))
-        release.set()
-        assert response.ok
-        assert len(calls) == 2       # the hedge fired
-
-    def test_fast_primary_never_hedges(self):
-        client, script, _ = scripted_client([OK], hedge_after_s=0.5)
-        assert client.submit(make_request(1)).ok
-        assert script.calls == 1

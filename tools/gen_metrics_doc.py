@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import os
-import re
 import sys
 from typing import Dict, List, Tuple
 
@@ -101,9 +100,6 @@ DESCRIPTIONS: Dict[str, Tuple[str, str]] = {
         "call by the batch engine."),
     "batch.occupancy": (
         "histogram", "Nets per stacked group (batch fill level)."),
-    "batch.padding_waste": (
-        "counter", "Dead padded slots created by `bucket=\"pow2\"` "
-        "grouping (always 0 in the default exact mode)."),
     "batch.scalar_fallbacks": (
         "counter", "Batch members replayed through the scalar path "
         "(ill-conditioned at the base cap floor, or a LAPACK failure "
@@ -196,7 +192,6 @@ DESCRIPTIONS: Dict[str, Tuple[str, str]] = {
         "counter", "Requests replayed in-process after repeated worker "
         "deaths."),
     "serve.client_retries": ("counter", "Client-side retries."),
-    "serve.client_hedges": ("counter", "Client-side hedged requests."),
     # -- lint: the --concurrency tier ----------------------------------
     "lint.concurrency.modules": (
         "counter", "Modules swept by the CONC pack "
