@@ -26,7 +26,7 @@ from repro.core import GNNTransConfig, WireTimingEstimator
 from repro.core.heads import TimingHeads
 from repro.core.pooling import pool_paths
 from repro.data import train_val_split
-from repro.features import pack
+from repro.features.pipeline import net_arrays, pack_arrays
 from repro.nn import Tensor
 from repro.nn.layers import Module
 
@@ -43,9 +43,12 @@ class MeanOnlyBaseline(Module):
         self.heads = TimingHeads(config.hidden, config.head_hidden, rng,
                                  condition_delay_on_slew=False)
 
+    def net_arrays(self, sample):
+        return net_arrays(sample, node_inputs=self.backbone.node_inputs,
+                          adjacency=self.backbone.operator)
+
     def pack(self, samples):
-        return pack(samples, node_inputs=self.backbone.node_inputs,
-                    adjacency=self.backbone.operator)
+        return pack_arrays([self.net_arrays(s) for s in samples])
 
     def forward(self, batch):
         nodes = self.backbone.encode(Tensor(batch.node_features),

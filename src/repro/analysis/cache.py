@@ -205,7 +205,10 @@ class SolveCache:
         from .simulator import EigenSolve  # deferred: simulator imports us
 
         try:
-            with np.load(self._disk_path(key), allow_pickle=False) as data:
+            # The handle is opened here, not by np.load, so a corrupt
+            # archive that makes np.load raise still gets it closed.
+            with open(self._disk_path(key), "rb") as handle, \
+                    np.load(handle, allow_pickle=False) as data:
                 if str(data["schema"]) != PERSIST_SCHEMA:
                     _PERSIST_MISSES.inc()
                     return None
@@ -216,11 +219,16 @@ class SolveCache:
                     eigenvalues=np.asarray(data["eigenvalues"],
                                            dtype=np.float64),
                     q=np.asarray(data["q"], dtype=np.float64))
-        except (OSError, KeyError, ValueError, EOFError,
+        except (OSError, KeyError, ValueError, EOFError, SystemError,
                 zipfile.BadZipFile):
             # Missing file is the common case; a corrupted or truncated
             # one (crash mid-write by an older numpy, disk fault) must
-            # degrade to a recompute, never break the query.
+            # degrade to a recompute, never break the query.  SystemError
+            # is CPython 3.11's "AST constructor recursion depth mismatch":
+            # np.load parses each .npy header with ast.literal_eval, and
+            # ast.parse raises it when another thread parses at the same
+            # time and the garbage collector runs finalizers mid-parse.
+            # The file is fine; the read is retried as a recompute.
             _PERSIST_MISSES.inc()
             return None
         _PERSIST_HITS.inc()

@@ -21,7 +21,8 @@ import numpy as np
 
 from ..core.heads import TimingHeads
 from ..core.pooling import pool_paths
-from ..features.pipeline import NetBatch, NetSample, pack
+from ..features.pipeline import (NetArrays, NetBatch, NetSample, net_arrays,
+                                 pack_arrays)
 from ..nn.layers import Module
 from ..nn.tensor import Tensor
 
@@ -114,9 +115,14 @@ class GraphBaseline(Module):
         self.heads = TimingHeads(3 * hidden, head_hidden, rng,
                                  condition_delay_on_slew=False)
 
+    def net_arrays(self, sample: NetSample) -> NetArrays:
+        """One net's inputs before padding: the backbone's node inputs
+        and operator of the net alone."""
+        return net_arrays(sample, node_inputs=self.backbone.node_inputs,
+                          adjacency=self.backbone.operator)
+
     def pack(self, samples: Sequence[NetSample]) -> NetBatch:
-        return pack(samples, node_inputs=self.backbone.node_inputs,
-                    adjacency=self.backbone.operator)
+        return pack_arrays([self.net_arrays(s) for s in samples])
 
     def forward(self, batch: Union[NetBatch, NetSample]
                 ) -> Tuple[Tensor, Tensor]:

@@ -13,28 +13,17 @@ from typing import Optional
 
 import numpy as np
 
-from ..nn.layers import Linear, Module
-from ..nn.tensor import Tensor, matmul_const
+from ..core.gnn_layer import WeightedSageLayer
+from ..nn.tensor import Tensor
 from .common import Backbone, binary_adjacency
 
 
-class SageLayer(Module):
-    """Mean-aggregation GraphSage layer: ``ReLU(W1 x + W2 mean_u x_u)``."""
+class SageLayer(WeightedSageLayer):
+    """Mean-aggregation GraphSage layer: ``ReLU(W1 x + W2 mean_u x_u)``.
 
-    def __init__(self, in_features: int, out_features: int,
-                 rng: np.random.Generator, residual: bool = True) -> None:
-        super().__init__()
-        self.w_self = Linear(in_features, out_features, rng, activation="relu")
-        self.w_neigh = Linear(in_features, out_features, rng, bias=False,
-                              activation="relu")
-        self.residual = residual and in_features == out_features
-
-    def forward(self, x: Tensor, mean_adjacency: np.ndarray) -> Tensor:
-        aggregated = matmul_const(mean_adjacency, x)
-        out = (self.w_self(x) + self.w_neigh(aggregated)).relu()
-        if self.residual:
-            out = out + x
-        return out
+    The GNNTrans layer run on a row-normalized binary adjacency, the
+    operator :meth:`GraphSageBackbone.operator` builds.
+    """
 
 
 class GraphSageBackbone(Backbone):

@@ -23,8 +23,8 @@ from ..design.sta import (BindRequest, WireBinding, WireCall, WireResult,
 from ..obs import get_metrics, get_tracer
 from ..robustness.errors import InputError, ModelError
 from ..features.path_features import PATH_FEATURE_NAMES, NetContext
-from ..features.pipeline import (FeatureScaler, NetSample, PathRecord,
-                                 build_net_sample)
+from ..features.pipeline import (FeatureScaler, NetArrays, NetSample,
+                                 PathRecord, build_net_sample, pack_arrays)
 from ..nn.layers import Module
 from ..nn.metrics import max_abs_error, r2_score
 from ..nn.optim import Adam
@@ -149,20 +149,22 @@ def _default_factory(num_node_features: int, num_path_features: int,
 
 
 class _Target(NamedTuple):
-    """A training sample with its normalized slew and delay targets."""
+    """A training sample with its normalized slew and delay targets and
+    the model's per-net arrays of it, built once per fit."""
 
     sample: NetSample
     slew: np.ndarray
     delay: np.ndarray
+    arrays: NetArrays
 
 
 def _packed_mse(model: Module, targets: Sequence[_Target]) -> Tensor:
     """Mean over the minibatch's nets of each net's slew plus delay MSE.
 
-    One forward pass over the packed nets; each real path is weighted
-    ``1 / (B * P_net)`` and each padded one 0.
+    One forward pass over the nets' arrays, padded into one pack; each
+    real path is weighted ``1 / (B * P_net)`` and each padded one 0.
     """
-    batch = model.pack([t.sample for t in targets])
+    batch = pack_arrays([t.arrays for t in targets])
     slew_pred, delay_pred = model(batch)
     slew_t, delay_t, weight = (np.zeros(batch.path_mask.shape)
                                for _ in range(3))
@@ -223,8 +225,9 @@ class WireTimingEstimator:
         Alternative model constructor; every graph baseline in
         :mod:`repro.baselines` plugs in through this hook, so all models
         share identical training and evaluation machinery.  A model
-        provides ``pack(samples) -> NetBatch`` and a forward pass over
-        that pack returning (B, P) ``(slew, delay)``.
+        provides ``net_arrays(sample) -> NetArrays``, one net's inputs
+        before padding, ``pack(samples) -> NetBatch`` and a forward pass
+        over that pack returning (B, P) ``(slew, delay)``.
     """
 
     def __init__(self, config: GNNTransConfig = DEFAULT_CONFIG,
@@ -277,12 +280,15 @@ class WireTimingEstimator:
 
     # ------------------------------------------------------------------
     def _targets(self, samples: Sequence[NetSample]) -> List[_Target]:
-        """Each sample with its normalized training targets, once per fit."""
+        """Each sample with its normalized training targets and the
+        model's arrays of it, once per fit: they go when the fit
+        returns."""
         targets = []
         for sample in samples:
             _, delays = sample.labels()
             targets.append(_Target(sample, *self.label_scaler.normalize(
-                self._slew_targets(sample), delays)))
+                self._slew_targets(sample), delays),
+                self.model.net_arrays(sample)))
         return targets
 
     def _slew_targets(self, sample: NetSample) -> np.ndarray:

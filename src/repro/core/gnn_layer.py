@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn.layers import Linear, Module
-from ..nn.tensor import Tensor, matmul_const
+from ..nn.tensor import Tensor, fused_op
 
 
 def normalize_adjacency(adjacency: np.ndarray, mode: str = "row") -> np.ndarray:
@@ -62,12 +62,39 @@ class WeightedSageLayer(Module):
 
     def forward(self, x: Tensor, adjacency: np.ndarray) -> Tensor:
         """``x``: (B, N, in_features); ``adjacency``: (B, N, N) normalized
-        weights, one operator per net of the pack."""
-        aggregated = matmul_const(adjacency, x)
-        out = (self.w_self(x) + self.w_neigh(aggregated)).relu()
-        if self.residual:
-            out = out + x
-        return out
+        weights, one operator per net of the pack.
+
+        One op, bitwise ``relu(w_self(x) + w_neigh(adjacency @ x)) + x``:
+        its backward hands ``x`` one gradient summed in that chain's tape
+        order, the residual's term first, then ``w_self``'s, then the
+        aggregation's.
+        """
+        w_self, b_self = self.w_self.weight, self.w_self.bias
+        w_neigh, residual = self.w_neigh.weight, self.residual
+        adjacency = np.asarray(adjacency, dtype=np.float64)
+        aggregated = adjacency @ x.data
+        pre = x.data @ w_self.data
+        pre += b_self.data
+        pre += aggregated @ w_neigh.data
+        out = np.maximum(pre, 0.0)
+        if residual:
+            out += x.data
+
+        def backward(grad: np.ndarray) -> None:
+            grad_pre = grad * (pre > 0.0)
+            b_self._accumulate(grad_pre)
+            w_self._accumulate(np.swapaxes(x.data, -1, -2) @ grad_pre)
+            w_neigh._accumulate(np.swapaxes(aggregated, -1, -2) @ grad_pre)
+            if not x.requires_grad:
+                return
+            grad_x = grad_pre @ np.swapaxes(w_self.data, -1, -2)
+            if residual:
+                grad_x = grad + grad_x
+            grad_x += np.swapaxes(adjacency, -1, -2) @ (
+                grad_pre @ np.swapaxes(w_neigh.data, -1, -2))
+            x._accumulate(grad_x)
+
+        return fused_op(out, (x, w_self, b_self, w_neigh), backward, "sage")
 
 
 class GNNModule(Module):

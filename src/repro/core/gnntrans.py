@@ -32,7 +32,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..features.pipeline import NetBatch, NetSample, PathRecord, pack
+from ..features.pipeline import (NetArrays, NetBatch, NetSample, PathRecord,
+                                 net_arrays, pack_arrays)
 from ..nn.layers import Module
 from ..nn.tensor import Tensor, concat, matmul_const
 from .config import DEFAULT_CONFIG, GNNTransConfig
@@ -96,9 +97,14 @@ class GNNTrans(Module):
                                  config.condition_delay_on_slew)
 
     # ------------------------------------------------------------------
+    def net_arrays(self, sample: NetSample) -> NetArrays:
+        """One net's inputs before padding, its adjacency normalized
+        alone."""
+        return net_arrays(sample, adjacency=self.gnn.operator)
+
     def pack(self, samples: Sequence[NetSample]) -> NetBatch:
-        """Pack ``samples`` with each net's adjacency normalized alone."""
-        return pack(samples, adjacency=self.gnn.operator)
+        """Pack ``samples``: :meth:`net_arrays` of each, padded."""
+        return pack_arrays([self.net_arrays(s) for s in samples])
 
     def _packed(self, batch: Union[NetBatch, NetSample]) -> NetBatch:
         return self.pack([batch]) if isinstance(batch, NetSample) else batch

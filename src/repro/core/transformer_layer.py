@@ -24,7 +24,7 @@ import numpy as np
 
 from ..nn.init import xavier_uniform
 from ..nn.layers import LayerNorm, Linear, Module, Parameter
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, fused_op, softmax_data, softmax_vjp
 
 
 def _key_mask_bias(node_mask: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -61,39 +61,80 @@ class MultiHeadSelfAttention(Module):
         self.norm = LayerNorm(features) if layer_norm else None
         self._scale = 1.0 / np.sqrt(self.head_dim)
 
-    def _scores(self, normed: Tensor) -> Tuple[Tensor, Tensor]:
-        """Unscaled attention logits (..., H, N, N), values (..., H, N, d)."""
-        qkv = normed @ self.w_qkv                        # (..., N, 3F)
+    def _split(self, qkv: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[int, ...]]:
+        """Query, key and value views (..., H, N, d) of the fused
+        projection (..., N, 3F), and the axis order of the view
+        (3, ..., H, N, d) they are taken from."""
         lead, n = qkv.shape[:-2], qkv.shape[-2]
         rank = len(lead)
-        qkv = qkv.reshape(*lead, n, 3, self.num_heads, self.head_dim)
         # (..., N, 3, H, d) -> (3, ..., H, N, d)
-        qkv = qkv.transpose((rank + 1,) + tuple(range(rank))
-                            + (rank + 2, rank, rank + 3))
-        query, key, value = qkv[0], qkv[1], qkv[2]
-        key_t = key.transpose(tuple(range(rank + 1)) + (rank + 2, rank + 1))
-        return query @ key_t, value
+        order = ((rank + 1,) + tuple(range(rank))
+                 + (rank + 2, rank, rank + 3))
+        split = qkv.reshape(*lead, n, 3, self.num_heads,
+                            self.head_dim).transpose(order)
+        return split[0], split[1], split[2], order
+
+    def _attend(self, normed: Tensor, bias: Optional[np.ndarray]) -> Tensor:
+        """Eq. (2)-(3) without the residual, as one op: the ``w_qkv``
+        projection, the masked scaled softmax, the weighted sum of the
+        values and ``w_out``.
+
+        Every product runs on the same array layouts as the chain of
+        primitives it replaces, so the values and gradients are that
+        chain's bits.  The query, key and value gradients land in one
+        (..., N, 3, H, d) array, the layout the projection's backward
+        reads.
+        """
+        w_qkv, w_out, scale = self.w_qkv, self.w_out.weight, self._scale
+        qkv = normed.data @ w_qkv.data                   # (..., N, 3F)
+        query, key, value, order = self._split(qkv)
+        key_t = np.swapaxes(key, -1, -2)
+        attention = softmax_data(query @ key_t, -1, scale, bias)  # Eq. (2)
+        heads = attention @ value                        # (..., H, N, d)
+        rank = heads.ndim
+        swap = tuple(range(rank - 3)) + (rank - 2, rank - 3, rank - 1)
+        joined = heads.transpose(swap)                   # (..., N, H, d)
+        multi = joined.reshape(normed.shape)             # ||_k  in Eq. (3)
+        out = multi @ w_out.data                         # W3
+
+        def backward(grad: np.ndarray) -> None:
+            grad_heads = (grad @ np.swapaxes(w_out.data, -1, -2)).reshape(
+                joined.shape).transpose(swap)
+            w_out._accumulate(np.swapaxes(multi, -1, -2) @ grad)
+            grad_scores = softmax_vjp(
+                attention, grad_heads @ np.swapaxes(value, -1, -2), -1,
+                scale)
+            grad_qkv = np.empty(qkv.shape[:-1] + (3, self.num_heads,
+                                                  self.head_dim))
+            split = grad_qkv.transpose(order)
+            # ``+ 0.0`` as the chain's sum of three zero-padded slices
+            # does: it turns a -0.0 into 0.0.
+            np.add(grad_scores @ np.swapaxes(key_t, -1, -2), 0.0,
+                   out=split[0])
+            np.add(np.swapaxes(np.swapaxes(query, -1, -2) @ grad_scores,
+                               -1, -2), 0.0, out=split[1])
+            np.add(np.swapaxes(attention, -1, -2) @ grad_heads, 0.0,
+                   out=split[2])
+            grad_qkv = grad_qkv.reshape(qkv.shape)
+            normed._accumulate(grad_qkv @ np.swapaxes(w_qkv.data, -1, -2))
+            w_qkv._accumulate(np.swapaxes(normed.data, -1, -2) @ grad_qkv)
+
+        return fused_op(out, (normed, w_qkv, w_out), backward, "attention")
 
     def forward(self, x: Tensor,
                 node_mask: Optional[np.ndarray] = None) -> Tensor:
         """``x``: (B, N, features) node representations; returns the same
         shape.  ``node_mask`` (B, N) marks each net's own nodes."""
         normed = self.norm(x) if self.norm is not None else x
-        scores, value = self._scores(normed)
-        attention = scores.softmax(axis=-1, scale=self._scale,
-                                   bias=_key_mask_bias(node_mask))  # Eq. (2)
-        heads = attention @ value                        # (B, H, N, d)
-        rank = heads.ndim
-        multi = heads.transpose(tuple(range(rank - 3))
-                                + (rank - 2, rank - 3, rank - 1))
-        multi = multi.reshape(*x.shape)                  # ||_k  in Eq. (3)
-        return x + self.w_out(multi)                     # residual of Eq. (3)
+        return x + self._attend(normed, _key_mask_bias(node_mask))
 
     def attention_maps(self, x: Tensor) -> List[np.ndarray]:
         """Per-head attention matrices of one net (N, N), for inspection."""
         normed = self.norm(x) if self.norm is not None else x
-        scores, _ = self._scores(Tensor(normed.data))
-        return list(scores.detach().softmax(axis=-1, scale=self._scale).data)
+        query, key, _, _ = self._split(normed.data @ self.w_qkv.data)
+        return list(softmax_data(query @ np.swapaxes(key, -1, -2), -1,
+                                 self._scale))
 
     def upgrade_state(self, state: Dict[str, np.ndarray], prefix: str) -> None:
         """Fuse a per-head checkpoint's ``w_query``/``w_key``/``w_value``."""

@@ -143,7 +143,10 @@ def save_dataset(path: str, dataset: WireTimingDataset) -> None:
 
 def load_dataset(path: str) -> WireTimingDataset:
     """Read a dataset previously written by :func:`save_dataset`."""
-    with np.load(path, allow_pickle=False) as data:
+    # Opened here, not by np.load, so a corrupt archive that makes
+    # np.load raise still gets its handle closed.
+    with open(path, "rb") as handle, \
+            np.load(handle, allow_pickle=False) as data:
         train = _unpack(data, "train")
         test = _unpack(data, "test")
         scaler: Optional[FeatureScaler] = None

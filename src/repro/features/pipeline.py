@@ -8,6 +8,8 @@ picoseconds (Fig. 5 of the paper, in data-structure form).
 
 :func:`pack` stacks several samples into one :class:`NetBatch` of
 zero-padded per-net slices, the input of every model's forward pass.
+It pads each net's :class:`NetArrays`, which a fit builds once per net
+(:func:`net_arrays`, :func:`pack_arrays`).
 
 :class:`FeatureScaler` standardizes node and path features with statistics
 fitted on the training split only, as proper ML hygiene requires.
@@ -16,7 +18,7 @@ fitted on the training split only, as proper ML hygiene requires.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,29 +125,68 @@ class NetBatch:
     designs: Tuple[str, ...]
 
 
+class NetArrays(NamedTuple):
+    """One net's model inputs before padding: a slice of a :class:`NetBatch`.
+
+    :func:`net_arrays` builds them; a fit builds them once per net and
+    :func:`pack_arrays` pads them into each minibatch's pack.
+    """
+
+    name: str
+    design: str
+    node_inputs: np.ndarray       # (n, F)
+    operator: np.ndarray          # (n, n) propagation operator
+    mean_pool: np.ndarray         # (p, n) see :func:`pooling_matrices`
+    sum_pool: np.ndarray          # (p, n)
+    sink_pool: np.ndarray         # (p, n)
+    path_features: np.ndarray     # (p, NUM_PATH_FEATURES)
+    input_slew_ps: np.ndarray     # (p,)
+
+
+def net_arrays(sample: NetSample,
+               node_inputs: Optional[Callable[[NetSample], np.ndarray]] = None,
+               adjacency: Optional[Callable[[np.ndarray], np.ndarray]] = None
+               ) -> NetArrays:
+    """One net's :class:`NetArrays`.
+
+    ``node_inputs`` maps the sample to its ``(n, F)`` model node inputs
+    (default: its node features) and ``adjacency`` maps its raw
+    adjacency to the model's ``(n, n)`` propagation operator (default:
+    unchanged).  Both run on the net's own arrays, so row sums, degrees
+    and eigenvectors see only that net.
+    """
+    return NetArrays(
+        sample.name, sample.design,
+        node_inputs(sample) if node_inputs is not None
+        else sample.node_features,
+        adjacency(sample.adjacency) if adjacency is not None
+        else sample.adjacency,
+        *pooling_matrices(sample),
+        np.array([p.features for p in sample.paths],
+                 dtype=np.float64).reshape(sample.num_paths,
+                                           NUM_PATH_FEATURES),
+        np.array([p.input_slew_ps for p in sample.paths], dtype=np.float64))
+
+
 def pack(samples: Sequence[NetSample],
          node_inputs: Optional[Callable[[NetSample], np.ndarray]] = None,
          adjacency: Optional[Callable[[np.ndarray], np.ndarray]] = None
          ) -> NetBatch:
-    """Stack ``samples`` into one :class:`NetBatch`.
+    """Stack ``samples`` into one :class:`NetBatch`: :func:`pack_arrays`
+    of each sample's :func:`net_arrays`."""
+    return pack_arrays([net_arrays(s, node_inputs, adjacency)
+                        for s in samples])
 
-    ``node_inputs`` maps a sample to its ``(n, F)`` model node inputs
-    (default: its node features) and ``adjacency`` maps its raw
-    adjacency to the model's ``(n, n)`` propagation operator (default:
-    unchanged).  Both run on each net's own arrays before padding, so
-    row sums, degrees and eigenvectors see only that net.
-    """
-    samples = list(samples)
-    if not samples:
+
+def pack_arrays(nets: Sequence[NetArrays]) -> NetBatch:
+    """Zero-pad ``nets`` into one :class:`NetBatch`, net ``b`` in slice
+    ``b``."""
+    if not nets:
         raise ValueError("pack() needs at least one sample")
-    inputs = [node_inputs(s) if node_inputs is not None else s.node_features
-              for s in samples]
-    operators = [adjacency(s.adjacency) if adjacency is not None
-                 else s.adjacency for s in samples]
-    size = len(samples)
-    n = max(len(x) for x in inputs)
-    p = max(s.num_paths for s in samples)
-    node_features = np.zeros((size, n, inputs[0].shape[1]))
+    size = len(nets)
+    n = max(len(net.node_inputs) for net in nets)
+    p = max(len(net.path_features) for net in nets)
+    node_features = np.zeros((size, n, nets[0].node_inputs.shape[1]))
     operator = np.zeros((size, n, n))
     node_mask = np.zeros((size, n), dtype=bool)
     mean_pool, sum_pool, sink_pool = (np.zeros((size, p, n))
@@ -153,21 +194,21 @@ def pack(samples: Sequence[NetSample],
     path_features = np.zeros((size, p, NUM_PATH_FEATURES))
     path_mask = np.zeros((size, p), dtype=bool)
     input_slew_ps = np.zeros((size, p))
-    for b, (sample, x, a) in enumerate(zip(samples, inputs, operators)):
-        nodes, paths = len(x), sample.num_paths
-        node_features[b, :nodes] = x
-        operator[b, :nodes, :nodes] = a
+    for b, net in enumerate(nets):
+        nodes, paths = len(net.node_inputs), len(net.path_features)
+        node_features[b, :nodes] = net.node_inputs
+        operator[b, :nodes, :nodes] = net.operator
         node_mask[b, :nodes] = True
-        (mean_pool[b, :paths, :nodes], sum_pool[b, :paths, :nodes],
-         sink_pool[b, :paths, :nodes]) = pooling_matrices(sample)
+        mean_pool[b, :paths, :nodes] = net.mean_pool
+        sum_pool[b, :paths, :nodes] = net.sum_pool
+        sink_pool[b, :paths, :nodes] = net.sink_pool
+        path_features[b, :paths] = net.path_features
         path_mask[b, :paths] = True
-        for q, path in enumerate(sample.paths):
-            path_features[b, q] = path.features
-            input_slew_ps[b, q] = path.input_slew_ps
+        input_slew_ps[b, :paths] = net.input_slew_ps
     return NetBatch(node_features, operator, node_mask, mean_pool, sum_pool,
                     sink_pool, path_features, path_mask, input_slew_ps,
-                    tuple(s.name for s in samples),
-                    tuple(s.design for s in samples))
+                    tuple(net.name for net in nets),
+                    tuple(net.design for net in nets))
 
 
 def build_adjacency(net: RCNet,

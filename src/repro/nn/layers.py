@@ -14,18 +14,33 @@ from typing import Dict, Iterator, List, Optional, Sequence
 import numpy as np
 
 from .init import kaiming_uniform, xavier_uniform, zeros
-from .tensor import Tensor
+from .tensor import Tensor, _unbroadcast, fused_op
 
 
 class Parameter(Tensor):
     """A trainable tensor: it requires grad while its module trains.
 
     Kept as a distinct type so :meth:`Module.parameters` can find trainable
-    leaves by ``isinstance`` without inspecting graph internals.
+    leaves by ``isinstance`` without inspecting graph internals.  An
+    :class:`~repro.nn.optim.Optimizer` makes :attr:`data` a view of its
+    flat parameter buffer and gives the parameter a view of its flat
+    gradient buffer, into which backward copies the first gradient of
+    each step.
     """
+
+    __slots__ = ("grad_view",)
 
     def __init__(self, data: np.ndarray) -> None:
         super().__init__(data, requires_grad=True)
+        self.grad_view: Optional[np.ndarray] = None
+
+    def _accumulate(self, grad: np.ndarray) -> None:
+        if self.grad is not None or self.grad_view is None:
+            super()._accumulate(grad)
+        elif self.requires_grad:
+            self.grad_view[...] = _unbroadcast(
+                np.asarray(grad, dtype=np.float64), self.data.shape)
+            self.grad = self.grad_view
 
 
 class Module:
@@ -225,11 +240,25 @@ class Linear(Module):
         self.bias = Parameter(zeros((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        """``(b, n, in_features)`` to ``(b, n, out_features)``."""
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        """``(b, n, in_features)`` to ``(b, n, out_features)``, as one op.
+
+        Bitwise ``x @ weight + bias``: the stacked matmul stays, since a
+        flattened 2-D GEMM would change the bits.
+        """
+        weight, bias = self.weight, self.bias
+        out = x.data @ weight.data
+        if bias is not None:
+            out += bias.data
+
+        def backward(grad: np.ndarray) -> None:
+            if bias is not None:
+                bias._accumulate(grad)
+            if x.requires_grad:
+                x._accumulate(grad @ np.swapaxes(weight.data, -1, -2))
+            weight._accumulate(np.swapaxes(x.data, -1, -2) @ grad)
+
+        parents = (x, weight) if bias is None else (x, weight, bias)
+        return fused_op(out, parents, backward, "linear")
 
     def __repr__(self) -> str:
         return (f"Linear(in={self.in_features}, out={self.out_features}, "
@@ -255,14 +284,49 @@ class MLP(Module):
         self.dropout = Dropout(dropout, rng) if dropout > 0.0 else None
 
     def forward(self, x: Tensor) -> Tensor:
-        """``(b, n, in_features)`` to ``(b, n, out_features)``."""
-        for i, layer in enumerate(self.layers):
-            x = layer(x)
-            if i < len(self.layers) - 1:
-                x = x.relu()
-                if self.dropout is not None:
-                    x = self.dropout(x)
-        return x
+        """``(b, n, in_features)`` to ``(b, n, out_features)``, as one op.
+
+        Bitwise the chain of :class:`Linear` layers with ReLU, then
+        dropout, between them.
+        """
+        layers, last = self.layers, len(self.layers) - 1
+        inputs, gates = [], []
+        h = x.data
+        for i, layer in enumerate(layers):
+            inputs.append(h)
+            h = h @ layer.weight.data
+            if layer.bias is not None:
+                h += layer.bias.data
+            if i < last:
+                gate = h > 0.0
+                h = np.maximum(h, 0.0)
+                mask = None if self.dropout is None \
+                    else self.dropout.mask(h.shape)
+                if mask is not None:
+                    h = h * mask
+                gates.append((gate, mask))
+
+        def backward(grad: np.ndarray) -> None:
+            for i in range(last, -1, -1):
+                layer = layers[i]
+                if i < last:
+                    gate, mask = gates[i]
+                    if mask is not None:
+                        grad = grad * mask
+                    grad = grad * gate
+                if layer.bias is not None:
+                    layer.bias._accumulate(grad)
+                layer.weight._accumulate(
+                    np.swapaxes(inputs[i], -1, -2) @ grad)
+                if i == 0 and not x.requires_grad:
+                    return
+                grad = grad @ np.swapaxes(layer.weight.data, -1, -2)
+            x._accumulate(grad)
+
+        parents = (x,) + tuple(p for layer in layers
+                               for p in (layer.weight, layer.bias)
+                               if p is not None)
+        return fused_op(h, parents, backward, "mlp")
 
 
 class LayerNorm(Module):
@@ -280,12 +344,43 @@ class LayerNorm(Module):
         self.beta = Parameter(zeros((features,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        """``(b, n, features)`` in, the same shape out."""
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normalized = centered * ((var + self.eps) ** -0.5)
-        return normalized * self.gamma + self.beta
+        """``(b, n, features)`` in, the same shape out, as one op.
+
+        Bitwise the composition ``c = x - mean(x)``, ``c * (mean(c * c) +
+        eps) ** -0.5 * gamma + beta``: the backward pass replays that
+        chain's vector-Jacobian products in its tape order, including
+        both terms of ``c * c`` and the two separate contributions to
+        ``x``, first through ``c`` and then through the mean.
+        """
+        gamma, beta = self.gamma, self.beta
+        inv_count = 1.0 / x.shape[-1]
+        data = x.data
+        mean = data.sum(axis=-1, keepdims=True) * inv_count
+        centered = data - mean
+        shifted = (centered * centered).sum(axis=-1, keepdims=True) \
+            * inv_count + self.eps
+        rstd = shifted ** -0.5
+        normalized = centered * rstd
+        out = normalized * gamma.data
+        out += beta.data
+
+        def backward(grad: np.ndarray) -> None:
+            beta._accumulate(grad)
+            grad_normalized = grad * gamma.data
+            gamma._accumulate(grad * normalized)
+            if not x.requires_grad:
+                return
+            grad_centered = grad_normalized * rstd
+            grad_rstd = _unbroadcast(grad_normalized * centered, rstd.shape)
+            grad_var = grad_rstd * -0.5 * shifted ** -1.5
+            square_term = (grad_var * inv_count) * centered
+            grad_centered += square_term
+            grad_centered += square_term
+            x._accumulate(grad_centered)
+            grad_mean = _unbroadcast(-grad_centered, mean.shape)
+            x._accumulate(np.broadcast_to(grad_mean * inv_count, data.shape))
+
+        return fused_op(out, (x, gamma, beta), backward, "layer_norm")
 
 
 class Dropout(Module):
@@ -298,11 +393,15 @@ class Dropout(Module):
         self.p = p
         self.rng = rng
 
-    def forward(self, x: Tensor) -> Tensor:
+    def mask(self, shape: Sequence[int]) -> Optional[np.ndarray]:
+        """A fresh scaled keep-mask, or ``None`` when dropout is off."""
         if not self.training or self.p == 0.0:
-            return x
-        mask = (self.rng.random(x.shape) >= self.p) / (1.0 - self.p)
-        return x * Tensor(mask)
+            return None
+        return (self.rng.random(shape) >= self.p) / (1.0 - self.p)
+
+    def forward(self, x: Tensor) -> Tensor:
+        mask = self.mask(x.shape)
+        return x if mask is None else x * Tensor(mask)
 
 
 class Sequential(Module):

@@ -134,27 +134,24 @@ class Tensor:
     def _wrap(other: Union["Tensor", ArrayLike]) -> "Tensor":
         return other if isinstance(other, Tensor) else Tensor(other)
 
-    def _make(
-        self,
-        data: np.ndarray,
-        parents: Tuple["Tensor", ...],
-        backward_fn: Callable[[np.ndarray], None],
-        op: str,
-    ) -> "Tensor":
-        for parent in parents:
-            if parent.requires_grad:
-                return Tensor(data, requires_grad=True, _parents=parents,
-                              _backward_fn=backward_fn, _op=op)
-        return Tensor(data)
-
     def _accumulate(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
             return
         grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
-        if self.grad is None:
-            self.grad = grad.copy()
+        if self._backward_fn is None:
+            # A leaf owns its gradient, which callers may scale in place.
+            if self.grad is None:
+                self.grad = grad.copy()
+            else:
+                self.grad += grad
+        elif self.grad is None:
+            # An op's first gradient is kept as it is: no backward pass
+            # writes into a gradient it was handed.
+            self.grad = grad
         else:
-            self.grad += grad
+            # Out of place, because the first array may be a view that
+            # another node holds.
+            self.grad = self.grad + grad
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -167,7 +164,7 @@ class Tensor:
             self._accumulate(grad)
             other._accumulate(grad)
 
-        return self._make(out_data, (self, other), backward, "add")
+        return fused_op(out_data, (self, other), backward, "add")
 
     __radd__ = __add__
 
@@ -175,7 +172,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(-grad)
 
-        return self._make(-self.data, (self,), backward, "neg")
+        return fused_op(-self.data, (self,), backward, "neg")
 
     def __sub__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = self._wrap(other)
@@ -185,7 +182,7 @@ class Tensor:
             self._accumulate(grad)
             other._accumulate(-grad)
 
-        return self._make(out_data, (self, other), backward, "sub")
+        return fused_op(out_data, (self, other), backward, "sub")
 
     def __rsub__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         return self._wrap(other) - self
@@ -198,7 +195,7 @@ class Tensor:
             self._accumulate(grad * other.data)
             other._accumulate(grad * self.data)
 
-        return self._make(out_data, (self, other), backward, "mul")
+        return fused_op(out_data, (self, other), backward, "mul")
 
     __rmul__ = __mul__
 
@@ -210,7 +207,7 @@ class Tensor:
             self._accumulate(grad / other.data)
             other._accumulate(-grad * self.data / (other.data ** 2))
 
-        return self._make(out_data, (self, other), backward, "div")
+        return fused_op(out_data, (self, other), backward, "div")
 
     def __rtruediv__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         return self._wrap(other) / self
@@ -223,7 +220,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * exponent * self.data ** (exponent - 1))
 
-        return self._make(out_data, (self,), backward, "pow")
+        return fused_op(out_data, (self,), backward, "pow")
 
     def __matmul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = self._wrap(other)
@@ -247,7 +244,7 @@ class Tensor:
                 self._accumulate(_unbroadcast(ga, a.shape))
                 other._accumulate(_unbroadcast(gb, b.shape))
 
-        return self._make(out_data, (self, other), backward, "matmul")
+        return fused_op(out_data, (self, other), backward, "matmul")
 
     # ------------------------------------------------------------------
     # Shape manipulation
@@ -261,7 +258,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.reshape(original_shape))
 
-        return self._make(out_data, (self,), backward, "reshape")
+        return fused_op(out_data, (self,), backward, "reshape")
 
     def transpose(self, axes: Optional[Sequence[int]] = None) -> "Tensor":
         out_data = self.data.transpose(axes)
@@ -270,7 +267,7 @@ class Tensor:
             inverse = None if axes is None else np.argsort(axes)
             self._accumulate(grad.transpose(inverse))
 
-        return self._make(out_data, (self,), backward, "transpose")
+        return fused_op(out_data, (self,), backward, "transpose")
 
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
@@ -293,7 +290,7 @@ class Tensor:
                 np.add.at(full, index, grad)
             self._accumulate(full)
 
-        return self._make(out_data, (self,), backward, "getitem")
+        return fused_op(out_data, (self,), backward, "getitem")
 
     # ------------------------------------------------------------------
     # Reductions
@@ -312,7 +309,7 @@ class Tensor:
                     g = np.expand_dims(g, a)
             self._accumulate(np.broadcast_to(g, input_shape))
 
-        return self._make(out_data, (self,), backward, "sum")
+        return fused_op(out_data, (self,), backward, "sum")
 
     def mean(self, axis: Optional[Union[int, Tuple[int, ...]]] = None,
              keepdims: bool = False) -> "Tensor":
@@ -338,7 +335,7 @@ class Tensor:
                 g = grad if keepdims else np.expand_dims(grad, axis)
                 self._accumulate(mask * g)
 
-        return self._make(out_data, (self,), backward, "max")
+        return fused_op(out_data, (self,), backward, "max")
 
     # ------------------------------------------------------------------
     # Elementwise nonlinearities
@@ -349,7 +346,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * (self.data > 0.0))
 
-        return self._make(out_data, (self,), backward, "relu")
+        return fused_op(out_data, (self,), backward, "relu")
 
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
@@ -357,7 +354,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * out_data)
 
-        return self._make(out_data, (self,), backward, "exp")
+        return fused_op(out_data, (self,), backward, "exp")
 
     def log(self) -> "Tensor":
         out_data = np.log(self.data)
@@ -365,7 +362,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad / self.data)
 
-        return self._make(out_data, (self,), backward, "log")
+        return fused_op(out_data, (self,), backward, "log")
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
@@ -373,7 +370,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * (1.0 - out_data ** 2))
 
-        return self._make(out_data, (self,), backward, "tanh")
+        return fused_op(out_data, (self,), backward, "tanh")
 
     def sigmoid(self) -> "Tensor":
         out_data = 1.0 / (1.0 + np.exp(-self.data))
@@ -381,7 +378,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * out_data * (1.0 - out_data))
 
-        return self._make(out_data, (self,), backward, "sigmoid")
+        return fused_op(out_data, (self,), backward, "sigmoid")
 
     def sqrt(self) -> "Tensor":
         return self ** 0.5
@@ -392,7 +389,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * np.sign(self.data))
 
-        return self._make(out_data, (self,), backward, "abs")
+        return fused_op(out_data, (self,), backward, "abs")
 
     def leaky_relu(self, negative_slope: float = 0.2) -> "Tensor":
         out_data = np.where(self.data > 0.0, self.data, negative_slope * self.data)
@@ -400,7 +397,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * np.where(self.data > 0.0, 1.0, negative_slope))
 
-        return self._make(out_data, (self,), backward, "leaky_relu")
+        return fused_op(out_data, (self,), backward, "leaky_relu")
 
     def softmax(self, axis: int = -1, scale: float = 1.0,
                 bias: Optional[np.ndarray] = None) -> "Tensor":
@@ -411,21 +408,12 @@ class Tensor:
         needs one finite entry.  Fusing the scale and the mask keeps one
         logits array on the tape instead of three.
         """
-        # One fresh array, updated in place: an attention pack's logits
-        # are its largest arrays.
-        out_data = self.data * scale
-        if bias is not None:
-            out_data += bias
-        out_data -= out_data.max(axis=axis, keepdims=True)
-        np.exp(out_data, out=out_data)
-        out_data /= out_data.sum(axis=axis, keepdims=True)
+        out_data = softmax_data(self.data, axis, scale, bias)
 
         def backward(grad: np.ndarray) -> None:
-            dot = (grad * out_data).sum(axis=axis, keepdims=True)
-            local = out_data * (grad - dot)
-            self._accumulate(local * scale if scale != 1.0 else local)
+            self._accumulate(softmax_vjp(out_data, grad, axis, scale))
 
-        return self._make(out_data, (self,), backward, "softmax")
+        return fused_op(out_data, (self,), backward, "softmax")
 
     # ------------------------------------------------------------------
     # Back-propagation driver
@@ -459,17 +447,64 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
+            # Leaves are left out: they have nothing to pass on, and an
+            # op's node always requires grad.
             for parent in node._parents:
-                if parent.requires_grad and id(parent) not in visited:
+                if parent._backward_fn is not None \
+                        and id(parent) not in visited:
                     stack.append((parent, False))
 
         self._accumulate(grad)
         for node in reversed(order):
-            if node._backward_fn is not None and node.grad is not None:
+            if node.grad is not None and node._backward_fn is not None:
                 node._backward_fn(node.grad)
                 # Only leaves keep their gradient; an intermediate one is
                 # spent once it has been passed on.
                 node.grad = None
+
+
+def fused_op(data: np.ndarray, parents: Tuple[Tensor, ...],
+             backward: Callable[[np.ndarray], None], op: str) -> Tensor:
+    """One tape node: ``data`` with ``backward`` as its vector-Jacobian
+    product, or a constant when no parent requires grad.
+
+    Every op records itself through this, the primitives of
+    :class:`Tensor` and the fused ops of the layers alike.  A fused op
+    replaces a chain of primitives with one node whose hand-written
+    ``backward`` evaluates the same numpy expressions, in the same order,
+    as the chain's backward passes, so its gradients are bitwise the
+    chain's.  ``backward`` hands each parent its gradient through
+    ``_accumulate``, once per contribution the chain made, and never
+    writes into the ``grad`` it is handed.
+    """
+    for parent in parents:
+        if parent.requires_grad:
+            return Tensor(data, requires_grad=True, _parents=parents,
+                          _backward_fn=backward, _op=op)
+    return Tensor(data)
+
+
+def softmax_data(logits: np.ndarray, axis: int, scale: float = 1.0,
+                 bias: Optional[np.ndarray] = None) -> np.ndarray:
+    """Softmax of ``logits * scale + bias`` along ``axis``, a new array."""
+    # One fresh array, updated in place: an attention pack's logits are
+    # its largest arrays.
+    out = logits * scale
+    if bias is not None:
+        out += bias
+    out -= out.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
+def softmax_vjp(out: np.ndarray, grad: np.ndarray, axis: int,
+                scale: float = 1.0) -> np.ndarray:
+    """Gradient of :func:`softmax_data`'s logits: ``out * (grad - sum(grad
+    * out)) * scale``, given its output ``out``."""
+    dot = (grad * out).sum(axis=axis, keepdims=True)
+    local = out * (grad - dot)
+    return local * scale if scale != 1.0 else local
 
 
 def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
@@ -494,11 +529,7 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
             slicer[ax] = slice(start, stop)
             tensor._accumulate(grad[tuple(slicer)])
 
-    requires = any(t.requires_grad for t in tensors)
-    if not requires:
-        return Tensor(out_data)
-    return Tensor(out_data, requires_grad=True, _parents=tuple(tensors),
-                  _backward_fn=backward, _op="concat")
+    return fused_op(out_data, tuple(tensors), backward, "concat")
 
 
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -513,11 +544,7 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
         for i, tensor in enumerate(tensors):
             tensor._accumulate(np.take(grad, i, axis=ax))
 
-    requires = any(t.requires_grad for t in tensors)
-    if not requires:
-        return Tensor(out_data)
-    return Tensor(out_data, requires_grad=True, _parents=tuple(tensors),
-                  _backward_fn=backward, _op="stack")
+    return fused_op(out_data, tuple(tensors), backward, "stack")
 
 
 def matmul_const(matrix: np.ndarray, tensor: Tensor) -> Tensor:
@@ -535,7 +562,4 @@ def matmul_const(matrix: np.ndarray, tensor: Tensor) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         tensor._accumulate(np.swapaxes(matrix, -1, -2) @ grad)
 
-    if not tensor.requires_grad:
-        return Tensor(out_data)
-    return Tensor(out_data, requires_grad=True, _parents=(tensor,),
-                  _backward_fn=backward, _op="matmul_const")
+    return fused_op(out_data, (tensor,), backward, "matmul_const")

@@ -6,6 +6,7 @@ import pytest
 from repro.analysis import (capacitance_vector, conductance_matrix,
                             reduce_source, transfer_resistance_matrix)
 from repro.rcnet import CouplingCap, RCEdge, RCNet, RCNode, chain_net
+from repro.robustness.errors import InputError
 
 
 class TestConductanceMatrix:
@@ -48,8 +49,10 @@ class TestCapacitanceVector:
         assert caps[0] == pytest.approx(2e-15)
 
     def test_sink_loads_wrong_shape(self, small_chain):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError) as caught:
             capacitance_vector(small_chain, sink_loads=np.zeros(3))
+        assert caught.value.net == small_chain.name
+        assert caught.value.stage == "mna-assembly"
 
     def test_quiet_vector_built_once_per_net(self, monkeypatch):
         """Each call adds its loads to a copy of one memoized vector, so

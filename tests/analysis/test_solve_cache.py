@@ -196,6 +196,32 @@ class TestPersistence:
             again = self._analyze(tmp_path)
             np.testing.assert_array_equal(result.delays(), again.delays())
 
+    def test_header_parse_system_error_is_a_miss(self, tmp_path,
+                                                 monkeypatch):
+        """CPython 3.11's ast.parse can raise SystemError when two threads
+        parse .npy headers while the garbage collector runs finalizers;
+        the read degrades to a persist miss and the cache keeps working."""
+        from repro.analysis.cache import SolveCache
+
+        self._analyze(tmp_path)
+        key = bytes.fromhex(sorted(tmp_path.glob("*.npz"))[0].stem)
+        cache = SolveCache(4, persist_dir=str(tmp_path))
+        misses = get_metrics().counter("simulator.cache_persist_misses")
+        before = misses.value
+
+        def racing_load(*args, **kwargs):
+            raise SystemError("AST constructor recursion depth mismatch "
+                              "(before=48, after=47)")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "load", racing_load)
+            assert cache.get(key) is None
+        assert misses.value == before + 1
+        solve = cache.get(key)
+        assert solve is not None
+        cache.put(b"another-key", solve)
+        assert cache.get(b"another-key") is solve
+
     def test_schema_mismatch_is_a_miss(self, tmp_path):
         self._analyze(tmp_path)
         [path] = list(tmp_path.glob("*.npz"))

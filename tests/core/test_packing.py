@@ -68,7 +68,8 @@ class TestPackedGradientParity:
     def test_minibatch_equals_per_net_accumulation(self, kind, mixed,
                                                    fitted):
         model = _model(kind)
-        targets = fitted._targets(mixed)
+        targets = [target._replace(arrays=model.net_arrays(target.sample))
+                   for target in fitted._targets(mixed)]
         packed = _packed_mse(model, targets)
         packed.backward()
         packed_grads = [p.grad.copy() for p in model.parameters()]

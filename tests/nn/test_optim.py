@@ -101,7 +101,7 @@ class TestAdamWDecoupledDecay:
         opt.step()
         assert opt.weight_decay == 0.25
         # Force a real failure: corrupt internal state so step() raises.
-        opt._m = [np.zeros(2)]  # wrong shape -> broadcast error
+        opt._m = np.zeros(2)  # wrong size -> broadcast error
         p.grad = np.array([0.5])
         with pytest.raises(ValueError):
             opt.step()
@@ -210,3 +210,137 @@ class TestLinearRegressionEndToEnd:
             opt.step()
         np.testing.assert_allclose(layer.weight.data, true_w, atol=1e-2)
         np.testing.assert_allclose(layer.bias.data, [0.3], atol=1e-2)
+
+
+def reference_adam_step(params, moments, t, lr, betas, eps, weight_decay,
+                        decoupled):
+    """The per-parameter Adam update the flat-buffer step replaced."""
+    beta1, beta2 = betas
+    bias1, bias2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    for p, (m, v) in zip(params, moments):
+        if p.grad is None:
+            continue
+        grad = p.grad
+        if weight_decay:
+            if decoupled:
+                p.data -= lr * weight_decay * p.data
+            else:
+                grad = grad + weight_decay * p.data
+        m *= beta1
+        m += (1.0 - beta1) * grad
+        v *= beta2
+        v += (1.0 - beta2) * grad ** 2
+        p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+
+
+def reference_clip(params, max_norm):
+    total = 0.0
+    for p in params:
+        if p.grad is not None:
+            total += float(np.sum(p.grad ** 2))
+    norm = np.sqrt(total)
+    if norm > max_norm and norm > 0.0:
+        for p in params:
+            if p.grad is not None:
+                p.grad *= max_norm / norm
+
+
+def _params(seed):
+    rng = np.random.default_rng(seed)
+    return [Parameter(rng.normal(size=shape))
+            for shape in ((3, 4), (4,), (2, 3, 2), (1,))]
+
+
+class TestFlatBuffers:
+    def test_parameters_are_views_of_one_buffer(self):
+        params = _params(0)
+        values = [p.data.copy() for p in params]
+        Adam(params, lr=0.1)
+        bases = {id(p.data.base) for p in params}
+        assert len(bases) == 1 and params[0].data.base is not None
+        assert {id(p.grad_view.base) for p in params} != bases
+        for p, value in zip(params, values):
+            np.testing.assert_array_equal(p.data, value)
+
+    def test_state_dict_round_trips_into_the_views(self, rng):
+        model = Linear(3, 2, rng)
+        opt = Adam(model.parameters(), lr=0.1)
+        saved = model.state_dict()
+        model(Tensor(np.ones((4, 3)))).sum().backward()
+        opt.step()
+        assert not np.array_equal(model.weight.data, saved["weight"])
+        model.load_state_dict(saved)
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, saved[name])
+        assert model.weight.data.base is model.bias.data.base
+        model.zero_grad()
+        model(Tensor(np.ones((4, 3)))).sum().backward()
+        opt.step()
+        assert not np.array_equal(model.weight.data, saved["weight"])
+
+    @pytest.mark.parametrize("weight_decay,decoupled",
+                             [(0.0, False), (0.1, False), (0.1, True)])
+    def test_steps_are_bitwise_the_per_parameter_update(self, weight_decay,
+                                                        decoupled):
+        flat, ref = _params(1), _params(1)
+        opt = Adam(flat, lr=0.05, weight_decay=weight_decay,
+                   decoupled=decoupled)
+        moments = [(np.zeros_like(p.data), np.zeros_like(p.data))
+                   for p in ref]
+        rng = np.random.default_rng(2)
+        for t in range(1, 6):
+            grads = [rng.normal(size=p.data.shape) * 3.0 for p in ref]
+            # Step 3 leaves the second parameter without a gradient.
+            for p, q, grad in zip(flat, ref, grads):
+                skip = t == 3 and p is flat[1]
+                p.grad = None if skip else grad.copy()
+                q.grad = None if skip else grad.copy()
+            assert opt.clip_grad_norm(2.0) == pytest.approx(
+                np.sqrt(sum(np.sum(q.grad ** 2) for q in ref
+                            if q.grad is not None)))
+            reference_clip(ref, 2.0)
+            opt.step()
+            reference_adam_step(ref, moments, t, 0.05, (0.9, 0.999), 1e-8,
+                                weight_decay, decoupled)
+            for p, q in zip(flat, ref):
+                assert p.data.tobytes() == q.data.tobytes()
+
+    def test_assigned_gradient_is_clipped_and_stepped(self):
+        p, other = Parameter(np.zeros(4)), Parameter(np.ones(2))
+        opt = SGD([p, other], lr=0.5)
+        p.grad = np.full(4, 10.0)
+        assert opt.clip_grad_norm(1.0) == pytest.approx(20.0)
+        np.testing.assert_allclose(p.grad, 0.5)
+        opt.step()
+        np.testing.assert_allclose(p.data, -0.25)
+        np.testing.assert_array_equal(other.data, [1.0, 1.0])
+
+    def test_parameter_without_gradient_is_untouched(self):
+        p1, p2 = Parameter(np.array([1.0])), Parameter(np.array([2.0]))
+        opt = Adam([p1, p2], lr=0.1, weight_decay=0.5, decoupled=True)
+        for _ in range(3):
+            opt.zero_grad()
+            (p1 * 2.0).sum().backward()
+            opt.clip_grad_norm(0.1)
+            opt.step()
+        np.testing.assert_array_equal(p2.data, [2.0])
+        np.testing.assert_array_equal(opt._m[1:], [0.0])
+        assert p1.data[0] < 1.0
+
+    def test_sgd_momentum_matches_per_parameter_update(self):
+        flat, ref = _params(3), _params(3)
+        opt = SGD(flat, lr=0.1, momentum=0.9, weight_decay=0.01)
+        velocity = [np.zeros_like(p.data) for p in ref]
+        rng = np.random.default_rng(4)
+        for _ in range(4):
+            for p, q in zip(flat, ref):
+                p.grad = rng.normal(size=p.data.shape)
+                q.grad = p.grad.copy()
+            opt.step()
+            for q, v in zip(ref, velocity):
+                grad = q.grad + 0.01 * q.data
+                v *= 0.9
+                v += grad
+                q.data -= 0.1 * v
+        for p, q in zip(flat, ref):
+            assert p.data.tobytes() == q.data.tobytes()

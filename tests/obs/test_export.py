@@ -91,4 +91,5 @@ class TestObservabilityDocument:
         path = str(tmp_path / "doc.json")
         text = dump_json({"a": 1}, path=path)
         assert json.loads(text) == {"a": 1}
-        assert json.loads(open(path).read()) == {"a": 1}
+        with open(path) as handle:
+            assert json.loads(handle.read()) == {"a": 1}

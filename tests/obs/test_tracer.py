@@ -148,6 +148,7 @@ class TestEnvHook:
         with tracer.span("streamed", net="n1"):
             pass
         tracer.close()
-        lines = [json.loads(line) for line in
-                 open(trace_path).read().splitlines() if line]
+        with open(trace_path) as handle:
+            lines = [json.loads(line) for line in
+                     handle.read().splitlines() if line]
         assert any(record["name"] == "streamed" for record in lines)
